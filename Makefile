@@ -3,16 +3,15 @@
 # suite, the metric-name lint, plus a staticcheck pass and a
 # vulnerability scan when those tools are available (each needs the
 # tool and, for govulncheck, network access, so both are skipped,
-# loudly, where missing). The race detector moved to its own target —
-# `make race-concurrency` is the focused sweep CI runs as a dedicated
-# job (Tx/clone shadows, the speculative router, and the jc=4
-# determinism tests), `make race` the full-suite version for local
-# soaks — so the default job stays fast while every concurrency path
-# still has to run race-clean before merge.
+# loudly, where missing). The race detector runs outside the default
+# target so it stays fast: CI's race job covers the packages where a
+# router meets goroutines (internal/core's context-cancel flag and
+# internal/experiment's Table1Parallel), and `make race` is the
+# full-suite version for local soaks.
 
 GO ?= go
 
-.PHONY: check vet build test race race-concurrency soak-fleet soak-disk soak-slow bench microbench lint-metrics staticcheck vulncheck
+.PHONY: check vet build test race soak-fleet soak-disk soak-slow bench microbench lint-metrics staticcheck vulncheck
 
 check: vet build test lint-metrics staticcheck vulncheck
 
@@ -27,14 +26,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The concurrency surface under the race detector: the packages that
-# own the Tx journal, shadow clones and the speculative router, plus
-# the root-level jc=4 bit-identity and checkpoint/resume tests. This is
-# what CI's dedicated race job runs.
-race-concurrency:
-	$(GO) test -race ./internal/core/... ./internal/board/...
-	$(GO) test -race -run 'TestConcurrent' .
 
 # The fleet chaos soak under the race detector: four workers plus a
 # coordinator in one process, scripted partitions, a heartbeat-muted
@@ -71,17 +62,16 @@ soak-disk:
 	$(GO) test -race -count=1 ./internal/server/ -run 'CrashEnum|Disk'
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetRoutesAroundDiskDegradedNode'
 
-# The Table 1 sweep at jc=1 and jc=4, written to BENCH_<gitsha>.json —
-# one comparable artifact per commit. BENCH_SCALE > 1 shrinks the boards
-# for quick runs; the sequential/concurrent bit-identity assertion runs
-# either way, as does the engine comparison: routed-metric parity per
-# board and (at full scale) >= 20% fewer expanded nodes for the goal
-# engine. `make microbench` is the old go-test microbenchmark pass.
+# The Table 1 sweep under the classic and goal engines, written to
+# BENCH_<gitsha>.json — one comparable artifact per commit. BENCH_SCALE
+# > 1 shrinks the boards for quick runs; the engine comparison runs
+# either way: routed-metric parity per board and (at full scale) >= 20%
+# fewer expanded nodes for the goal engine. `make microbench` is the
+# old go-test microbenchmark pass.
 BENCH_SCALE ?= 1
-BENCH_JC ?= 1,4
 
 bench:
-	$(GO) run ./tools/benchjson -scale $(BENCH_SCALE) -jc $(BENCH_JC) -out .
+	$(GO) run ./tools/benchjson -scale $(BENCH_SCALE) -out .
 
 microbench:
 	$(GO) test -bench=. -benchmem .

@@ -100,7 +100,6 @@ func run() int {
 		table1 = flag.Bool("table1", false, "route every Table 1 board and print the table")
 		scale  = flag.Int("scale", 1, "with -table1: shrink boards by this factor")
 		jobs   = flag.Int("j", 1, "with -table1: boards routed concurrently (0 = one worker per CPU, capped at the board count)")
-		jc     = flag.Int("jc", 1, "route each board's connections on N worker goroutines (0 = one per CPU); output is bit-identical to -jc 1")
 		check  = flag.Bool("check", true, "verify connectivity of every routed connection")
 		report = flag.Bool("report", false, "print the timing report and the 5 most critical nets")
 		runDRC = flag.Bool("drc", false, "run the design-rule checker on the routed board")
@@ -180,10 +179,6 @@ func run() int {
 	opts.Radius = *radius
 	opts.Sort = *sort
 	opts.Bidirectional = *bidi
-	if *jc <= 0 {
-		*jc = runtime.GOMAXPROCS(0)
-	}
-	opts.Workers = *jc
 	opts.TimeBudget = *timeBudget
 	opts.NodeBudget = *nodeBudget
 	opts.Paranoid = *paranoid
@@ -442,9 +437,6 @@ func runResume(ctx context.Context, cfg singleConfig, path string, flagOpts core
 	snap.Opts.Paranoid = snap.Opts.Paranoid || flagOpts.Paranoid
 	snap.Opts.Metrics = flagOpts.Metrics // runtime-only; never serialized
 	snap.Opts.CheckpointEvery = 0
-	// Worker count is operational, not algorithmic (-jc N is bit-identical
-	// to -jc 1): the resumed run may use a different machine's parallelism.
-	snap.Opts.Workers = flagOpts.Workers
 	if cfg.checkpoint != "" {
 		attachCheckpointSink(&snap.Opts, cfg.checkpoint, cfg.ckEvery, snap.Design, snap.Conns)
 	}

@@ -82,7 +82,6 @@ func run() int {
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP address to serve HTTP on")
 		journalDir = flag.String("journal-dir", "", "job journal directory (required)")
 		workers    = flag.Int("workers", 4, "routing worker pool size")
-		cpuSlots   = flag.Int("cpu-slots", 0, "total routing goroutines across all jobs; bounds each job's 'workers' option to cpu-slots/workers (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 16, "max live jobs before submissions get 429")
 		maxAtt     = flag.Int("max-attempts", 3, "attempts per job before it is failed")
 		retryBase  = flag.Duration("retry-base", 10*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
@@ -132,7 +131,6 @@ func run() int {
 	cfg := server.Config{
 		NodeName:        *nodeName,
 		Workers:         *workers,
-		CPUSlots:        *cpuSlots,
 		QueueDepth:      *queueDepth,
 		JournalDir:      *journalDir,
 		MaxAttempts:     *maxAtt,

@@ -379,27 +379,6 @@ func TestIncrementalRerouteExpansionBudget(t *testing.T) {
 	}
 }
 
-// TestIncrementalRerouteParallel replays the same edit with Workers=4:
-// the concurrent merge loop adopts memos at merge turns and must land on
-// the same board as the sequential oracle.
-func TestIncrementalRerouteParallel(t *testing.T) {
-	fx := buildIncrementalFixture(t, workload.Table1Specs()[3].Scale(3), core.EngineClassic, 0.5, 0.5, false)
-
-	b2 := fx.newBoard(t)
-	nr, err := fx.base.Router.Reroute(b2, fx.edits, func(o *core.Options) { o.Workers = 4 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := nr.Route()
-	if res.Aborted != core.AbortNone {
-		t.Fatalf("incremental run aborted: %v (%v)", res.Aborted, res.Invariant)
-	}
-	fx.checkAgainstOracle(t, b2, nr)
-	if adopted, _ := nr.IncStats(); adopted == 0 {
-		t.Error("parallel incremental run adopted no memos")
-	}
-}
-
 // TestIncrementalRerouteResume cuts a checkpoint partway through the
 // incremental replay and resumes it on a fresh edited board. Memos and
 // the dirty set are process state, not checkpoint state, so the resumed

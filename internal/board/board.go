@@ -44,13 +44,9 @@ type Board struct {
 	interposer Interposer
 	// observer, when set, is notified after every applied mutation.
 	observer MutationObserver
-	// onMutate, when set, is also notified after every applied mutation
-	// (see OnMutate) — the concurrent router's commit-log feed, kept
-	// separate from the Interpose seam so both can be active at once.
-	onMutate func(Record)
 	// hooks are further mutation listeners (AddMutateHook): the goal
 	// engine's lower-bound index and the incremental router's turn
-	// tracking both listen without displacing onMutate or the observer.
+	// tracking both listen without displacing the observer.
 	hooks []func(Record)
 
 	// seq counts applied mutations; openTxs counts transactions holding
@@ -100,9 +96,6 @@ func (b *Board) mutated(rec Record) {
 	if b.observer != nil {
 		b.observer.ObserveMutation(rec)
 	}
-	if b.onMutate != nil {
-		b.onMutate(rec)
-	}
 	for _, h := range b.hooks {
 		if h != nil {
 			h(rec)
@@ -111,8 +104,8 @@ func (b *Board) mutated(rec Record) {
 }
 
 // AddMutateHook registers f to be called after every applied mutation,
-// alongside the observer and OnMutate listeners. It returns a function
-// removing the hook again. Hooks may not mutate the board.
+// alongside the mutation observer. It returns a function removing the
+// hook again. Hooks may not mutate the board.
 func (b *Board) AddMutateHook(f func(Record)) (remove func()) {
 	b.hooks = append(b.hooks, f)
 	idx := len(b.hooks) - 1

@@ -66,6 +66,25 @@ func (r Record) String() string {
 	}
 }
 
+// RecordRect returns the grid rectangle covered by the record's metal: a
+// 1-wide strip along the channel for segment ops, a single cell for via
+// ops (a via occupies one grid point on every layer). Any grid cell
+// whose occupancy — on any layer, or in the via map — the mutation
+// changed lies inside the returned rectangle; incremental re-routing's
+// dirty-region bookkeeping relies on that freedom from false negatives.
+func (b *Board) RecordRect(rec Record) geom.Rect {
+	switch rec.Kind {
+	case OpPlaceVia, OpRemoveVia:
+		return geom.Bounding(rec.At, rec.At)
+	default:
+		o := b.Layers[rec.Layer].Orient
+		return geom.Bounding(
+			b.Cfg.PointAt(o, rec.Ch, rec.Span.Lo),
+			b.Cfg.PointAt(o, rec.Ch, rec.Span.Hi),
+		)
+	}
+}
+
 // txEntry pairs a record with the live handles its inverse needs. The
 // handles are refreshed whenever an undo or redo re-creates the metal.
 type txEntry struct {
@@ -108,53 +127,6 @@ func (b *Board) OpenTxs() int { return b.openTxs }
 
 // Len returns the number of journaled mutations.
 func (tx *Tx) Len() int { return len(tx.entries) }
-
-// Records returns a copy of the journal, oldest first.
-func (tx *Tx) Records() []Record {
-	out := make([]Record, len(tx.entries))
-	for i, e := range tx.entries {
-		out[i] = e.rec
-	}
-	return out
-}
-
-// Occupies summarizes the region the transaction's mutations touch as a
-// small set of grid rectangles: one bounding rectangle per layer with
-// segment records, plus one for all via records (a via touches every
-// layer and the via map at its point). The summary is free of false
-// negatives — every grid cell whose occupancy any journaled mutation
-// changed lies inside one of the returned rectangles — so the
-// concurrent router's committer can test two transactions for possible
-// overlap without replaying either journal. False positives are
-// expected: the rectangles are bounding boxes.
-func (tx *Tx) Occupies() []geom.Rect {
-	empty := geom.R(0, 0, -1, -1)
-	perLayer := make([]geom.Rect, len(tx.b.Layers))
-	for i := range perLayer {
-		perLayer[i] = empty
-	}
-	vias := empty
-	for i := range tx.entries {
-		rec := tx.entries[i].rec
-		r := tx.b.RecordRect(rec)
-		switch rec.Kind {
-		case OpPlaceVia, OpRemoveVia:
-			vias = vias.Union(r)
-		default:
-			perLayer[rec.Layer] = perLayer[rec.Layer].Union(r)
-		}
-	}
-	var out []geom.Rect
-	for _, r := range perLayer {
-		if !r.Empty() {
-			out = append(out, r)
-		}
-	}
-	if !vias.Empty() {
-		out = append(out, vias)
-	}
-	return out
-}
 
 func (tx *Tx) append(e txEntry) {
 	if tx.done {

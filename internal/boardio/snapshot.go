@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -135,7 +136,6 @@ var optionFields = []optionField{
 	{"nodebudget", func(o *core.Options) int64 { return int64(o.NodeBudget) }, func(o *core.Options, v int64) { o.NodeBudget = int(v) }},
 	{"paranoid", func(o *core.Options) int64 { return boolInt(o.Paranoid) }, func(o *core.Options, v int64) { o.Paranoid = v != 0 }},
 	{"checkpointevery", func(o *core.Options) int64 { return int64(o.CheckpointEvery) }, func(o *core.Options, v int64) { o.CheckpointEvery = int(v) }},
-	{"workers", func(o *core.Options) int64 { return int64(o.Workers) }, func(o *core.Options, v int64) { o.Workers = int(v) }},
 	// engine and recordregions postdate the fields above; snapshots
 	// written before them simply omit the lines, and the zero values they
 	// decode to (EngineClassic, regions off) are exactly what those runs
@@ -143,6 +143,14 @@ var optionFields = []optionField{
 	{"engine", func(o *core.Options) int64 { return int64(o.Engine) }, func(o *core.Options, v int64) { o.Engine = core.Engine(v) }},
 	{"recordregions", func(o *core.Options) int64 { return boolInt(o.RecordRegions) }, func(o *core.Options, v int64) { o.RecordRegions = v != 0 }},
 }
+
+// legacyOptions are option names earlier releases wrote or accepted
+// that no longer mean anything. ReadSnapshot and ApplyOption still
+// accept them, so old journals and old clients keep working, and ignore
+// their values; OptionNames and OptionInts leave them out, so they
+// never split a route-cache key. workers was the intra-board worker
+// count, which never changed routed output.
+var legacyOptions = []string{"workers"}
 
 // OptionNames lists the router options the snapshot codec — and the
 // grrd job API, which accepts them as a name→integer map — understand,
@@ -171,13 +179,17 @@ func OptionInts(o *core.Options) []int64 {
 
 // ApplyOption sets the named router option on o from its integer
 // serialization (booleans as 0/1, the time budget as nanoseconds),
-// exactly as the snapshot reader would. Unknown names are an error.
+// exactly as the snapshot reader would. Legacy names are accepted and
+// ignored; unknown names are an error.
 func ApplyOption(o *core.Options, name string, v int64) error {
 	for _, f := range optionFields {
 		if f.name == name {
 			f.set(o, v)
 			return nil
 		}
+	}
+	if slices.Contains(legacyOptions, name) {
+		return nil
 	}
 	return fmt.Errorf("boardio: unknown router option %q", name)
 }
@@ -248,6 +260,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	opts := make(map[string]func(*core.Options, int64))
 	for _, f := range optionFields {
 		opts[f.name] = f.set
+	}
+	for _, name := range legacyOptions {
+		opts[name] = func(*core.Options, int64) {}
 	}
 
 	lines := strings.Split(string(body), "\n")

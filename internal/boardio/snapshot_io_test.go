@@ -6,8 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/stringer"
@@ -152,6 +154,49 @@ func TestApplyOptionRoundTrip(t *testing.T) {
 	}
 	if err := ApplyOption(&o, "bogus", 1); err == nil {
 		t.Error("unknown option accepted")
+	}
+	before := OptionInts(&o)
+	if err := ApplyOption(&o, "workers", 4); err != nil {
+		t.Errorf("legacy option rejected: %v", err)
+	}
+	if !slices.Equal(OptionInts(&o), before) {
+		t.Error("legacy option changed the options")
+	}
+}
+
+// TestLegacyWorkersSnapshotResumes: a snapshot written by a release that
+// still serialized the intra-board worker count ("option workers 4")
+// loads, and resumes to the same board as an uninterrupted run.
+func TestLegacyWorkersSnapshotResumes(t *testing.T) {
+	snap, err := LoadSnapshot(filepath.Join("testdata", "legacy-workers.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Check.NextPos == 0 && snap.Check.Pass == 0 {
+		t.Fatal("fixture is not cut mid-route")
+	}
+	b, r, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := r.Route(); res.Aborted != core.AbortNone {
+		t.Fatalf("resumed route aborted: %v", res.Aborted)
+	}
+
+	fresh, err := board.New(snap.Design.GridConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Design.PlacePins(fresh); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := core.New(fresh, snap.Conns, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Route()
+	if got, want := b.Fingerprint(), fresh.Fingerprint(); got != want {
+		t.Errorf("resumed fingerprint %016x, uninterrupted %016x", got, want)
 	}
 }
 

@@ -41,7 +41,7 @@ func wallOff(tb testing.TB, b *board.Board, c geom.Point) {
 // timing is two clock reads bracketing the search, and metric flushing
 // happens outside it, so observability must be free on the hot path.
 // The "tracked" variant floods with read-region tracking armed, exactly
-// as a concurrent worker's speculative attempt runs: tracking is pure
+// as an incremental router's recorded turn runs: tracking is pure
 // interval arithmetic into preallocated fields, so it must fit the same
 // budget. The "goal" variant floods under EngineGoal: the lower-bound
 // index is consulted on every via candidate, so its query path — ensure,

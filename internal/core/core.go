@@ -231,15 +231,6 @@ type Options struct {
 	// not carry it, and a resumed router publishes only the work done
 	// in its own process.
 	Metrics *obs.Registry
-	// Workers > 1 routes connections of one board on that many worker
-	// goroutines under the optimistic-concurrency engine of DESIGN §11:
-	// workers search speculatively against private board snapshots and a
-	// single committer validates each result in connection order, so the
-	// routed output — Fingerprint, Audit, metrics, checkpoints — is
-	// bit-identical to a sequential run at any worker count. Workers is
-	// operational, not algorithmic: it may be changed freely on resume.
-	// Values <= 1 route sequentially on the calling goroutine.
-	Workers int
 }
 
 // DefaultOptions returns the configuration used for all Table 1 runs.

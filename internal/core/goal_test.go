@@ -45,27 +45,6 @@ func TestGoalEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoalEngineParallelMatchesSerial: the deterministic merge order of
-// the concurrent router must hold under the goal engine too — workers
-// searching with lower bounds built against their shadow boards still
-// commit in the serial order, so the final board is bit-identical to a
-// one-worker run.
-func TestGoalEngineParallelMatchesSerial(t *testing.T) {
-	serial := goalOptions()
-	par := goalOptions()
-	par.Workers = 4
-	for seed := int64(3); seed <= 5; seed++ {
-		b1, _, res1 := buildSmall(t, seed, serial)
-		b2, _, res2 := buildSmall(t, seed, par)
-		if f1, f2 := b1.Fingerprint(), b2.Fingerprint(); f1 != f2 {
-			t.Errorf("seed %d: parallel goal run diverged from serial: %016x vs %016x", seed, f1, f2)
-		}
-		if res1.Metrics.Routed != res2.Metrics.Routed {
-			t.Errorf("seed %d: routed %d serial vs %d parallel", seed, res1.Metrics.Routed, res2.Metrics.Routed)
-		}
-	}
-}
-
 // TestClassicEngineUntouchedByGoalCode: selecting the classic engine is
 // bit-identical to the pre-engine default — the Engine knob's zero
 // value IS classic, so merely building the goal machinery must not

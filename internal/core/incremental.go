@@ -21,6 +21,42 @@ import (
 	"repro/internal/geom"
 )
 
+// emptyRect is the empty-region sentinel (geom.Rect's zero value is the
+// single cell at the origin, not empty).
+func emptyRect() geom.Rect { return geom.R(0, 0, -1, -1) }
+
+// readRegion accumulates the board region one routing turn reads and
+// writes: cells covers channel-cell occupancy (searcher scans plus every
+// cell the turn tried to place metal on), vias covers via-map probe
+// sites. A memo whose region is disjoint from every later divergence
+// could not have observed it.
+type readRegion struct {
+	cells geom.Rect
+	vias  geom.Rect
+}
+
+// trackRun notes that the current turn read (and possibly wrote) the
+// cells of channel ch spanning [lo, hi] on layer li.
+func (r *Router) trackRun(li, ch, lo, hi int) {
+	if r.track == nil {
+		return
+	}
+	o := r.B.Layers[li].Orient
+	rect := geom.Bounding(r.B.Cfg.PointAt(o, ch, lo), r.B.Cfg.PointAt(o, ch, hi))
+	r.track.cells = r.track.cells.Union(rect)
+}
+
+// trackPt notes a via probe or drill at p: the via map at p and the
+// cell p on every layer.
+func (r *Router) trackPt(p geom.Point) {
+	if r.track == nil {
+		return
+	}
+	pr := geom.Bounding(p, p)
+	r.track.cells = r.track.cells.Union(pr)
+	r.track.vias = r.track.vias.Union(pr)
+}
+
 // connMemo is one connection's last clean routing turn, in board
 // coordinates so it can be replayed onto a different Router's board.
 type connMemo struct {
@@ -237,9 +273,9 @@ func (r *Router) memoAdopt(i int, m *connMemo) bool {
 // IncStats reports the replay outcomes of an incremental run (a router
 // returned by Reroute): connections adopted straight from their memo,
 // and connections routed through the full ladder. Non-replay routers
-// report zeros. Like SpecStats these are operational counters, kept
-// out of Metrics (whose integer serialization belongs to the snapshot
-// codec); the obs registry exports them as incremental metric series.
+// report zeros. These are operational counters, kept out of Metrics
+// (whose integer serialization belongs to the snapshot codec); the obs
+// registry exports them as incremental metric series.
 func (r *Router) IncStats() (adopted, rerouted int) {
 	return r.incAdopted, r.incRerouted
 }
@@ -336,8 +372,8 @@ func algoOf(o Options) algoOptions {
 // board, fully prepared by the caller exactly as for a fresh run: pins
 // placed for the edited connection list, EditBlock keepouts realized —
 // and otherwise empty. edits are the design deltas; tweak, if non-nil,
-// may adjust operational options (workers, budgets, checkpointing,
-// metrics) on the replay router but not algorithmic ones.
+// may adjust operational options (budgets, checkpointing, metrics) on
+// the replay router but not algorithmic ones.
 //
 // The returned router has not routed yet: call Route (or RouteContext)
 // on it. Its output — board Fingerprint, Audit, failed connections —

@@ -62,8 +62,7 @@ func (l *lbLayer) fullIn(lo, hi int) bool {
 }
 
 // lbIndex is the board-wide lower-bound structure. One per router under
-// EngineGoal (worker routers build their own against their shadow
-// clones); invalidation rides the board's mutation stream.
+// EngineGoal; invalidation rides the board's mutation stream.
 type lbIndex struct {
 	b      *board.Board
 	layers []lbLayer

@@ -62,17 +62,6 @@ type routerObs struct {
 	phase     [numPhases]*obs.Histogram
 	passTimes *obs.Histogram
 
-	// Concurrent-engine series (DESIGN §11). These are updated directly
-	// at merge turns and by workers (the registry handles are atomic),
-	// not flushed from Metrics: speculation outcomes are operational
-	// counters and deliberately not part of the Metrics struct, whose
-	// integer serialization belongs to the snapshot codec.
-	workersBusy   *obs.Gauge
-	specAdopted   *obs.Counter
-	specConflicts *obs.Counter
-	specMisses    *obs.Counter
-	commitWait    *obs.Histogram
-
 	// Goal-engine lower-bound series (DESIGN §15), delta-flushed from
 	// the lbIndex's plain counters so the search loop never touches an
 	// atomic: builds, needsVia queries, and queries that proved a via
@@ -83,7 +72,9 @@ type routerObs struct {
 	flushedLB [3]int
 
 	// Incremental replay outcomes (DESIGN §15), updated directly at
-	// replay turns like the speculation counters above.
+	// replay turns rather than flushed from Metrics: they are
+	// operational counters, and Metrics' integer serialization belongs
+	// to the snapshot codec.
 	incAdopted  *obs.Counter
 	incRerouted *obs.Counter
 }
@@ -107,12 +98,6 @@ func newRouterObs(reg *obs.Registry) *routerObs {
 		wireLength:  reg.Gauge("grr_router_wire_length_cells"),
 		vias:        reg.Gauge("grr_router_vias_placed"),
 		passTimes:   reg.Histogram("grr_router_pass_seconds", obs.DurationBuckets()),
-
-		workersBusy:   reg.Gauge("grr_router_workers_busy"),
-		specAdopted:   reg.Counter("grr_router_spec_adopted_total"),
-		specConflicts: reg.Counter("grr_router_spec_conflicts_total"),
-		specMisses:    reg.Counter("grr_router_spec_misses_total"),
-		commitWait:    reg.Histogram("grr_router_commit_wait_seconds", obs.DurationBuckets()),
 
 		lbBuilds:  reg.Counter("grr_lb_builds_total"),
 		lbQueries: reg.Counter("grr_lb_queries_total"),

@@ -43,20 +43,18 @@ type Router struct {
 	// Abort state (see RouteContext). abortArmed is true only when a
 	// time budget or a cancellable context is in play, so unbudgeted
 	// runs skip even the cheap checks and stay bit-identical. The
-	// cancelled flag is the only field another goroutine touches; it is
-	// a pointer so the concurrent engine's worker routers can share the
-	// master's flag and notice a cancellation mid-search.
+	// cancelled flag is the only field another goroutine touches: the
+	// context watcher RouteContext installs.
 	abortArmed  bool
 	deadline    time.Time
-	cancelled   *atomic.Bool
+	cancelled   atomic.Bool
 	abortReason AbortReason
 	invariant   error
 
 	// track, when non-nil, accumulates the read/write region of the
-	// connection attempt in flight. The concurrent engine's worker
-	// routers set it (concurrent.go), as does routeTurn under
-	// Options.RecordRegions (incremental.go); on a plain sequential
-	// router the cost is one nil check per placement.
+	// connection attempt in flight. routeTurn sets it under
+	// Options.RecordRegions (incremental.go); otherwise the cost is one
+	// nil check per placement.
 	track *readRegion
 
 	// lb is the goal-oriented engine's preprocessed lower-bound index
@@ -84,14 +82,6 @@ type Router struct {
 	// the full ladder on a replay router.
 	incAdopted  int
 	incRerouted int
-
-	// Speculation outcome counters (concurrent runs only): attempts
-	// adopted as-is, speculative successes discarded because a prior
-	// commit overlapped their region (then re-routed sequentially), and
-	// speculative failures routed sequentially at their merge turn.
-	specAdopted   int
-	specConflicts int
-	specMisses    int
 
 	// Per-connection node-budget state: LeeExpansions at the start of
 	// the connection being routed, and whether its budget ran out.
@@ -150,7 +140,6 @@ func New(b *board.Board, conns []Connection, opts Options) (*Router, error) {
 	}
 	r.routes = make([]Route, len(r.Conns))
 	r.ripped = make(map[int]*board.Tx)
-	r.cancelled = new(atomic.Bool)
 	r.search = sla.NewSearcher(b.Cfg)
 	r.order = SortOrder(b, r.Conns, opts.Sort)
 	r.scratch.init(b.Cfg)
@@ -210,18 +199,6 @@ func (r *Router) RouteOf(i int) *Route { return &r.routes[i] }
 
 // Metrics returns the counters accumulated so far.
 func (r *Router) Metrics() Metrics { return r.metrics }
-
-// SpecStats reports the speculation outcomes of a concurrent run
-// (Options.Workers > 1): connections adopted straight from a worker's
-// speculative result, speculative successes discarded because a prior
-// commit overlapped their read region, and speculative failures — all
-// three re-routed sequentially at their merge turn. Sequential runs
-// report zeros. These are operational counters, deliberately kept out
-// of Metrics (whose integer serialization is part of the snapshot
-// codec); the obs registry exports them as grr_router_spec_* series.
-func (r *Router) SpecStats() (adopted, conflicts, misses int) {
-	return r.specAdopted, r.specConflicts, r.specMisses
-}
 
 // Route runs the complete algorithm of Section 8.4 and returns the
 // result. It may be called only once per Router.
@@ -300,9 +277,6 @@ func (r *Router) beginConnBudget() {
 // behaves exactly like the uninterrupted run: the algorithm consumes no
 // other history.
 func (r *Router) run() Result {
-	if r.Opts.Workers > 1 && len(r.Conns) > 0 {
-		return r.runConcurrent()
-	}
 	r.metrics.Connections = len(r.Conns)
 	prevUnrouted := len(r.Conns) + 1
 	startPos := 0
@@ -367,8 +341,8 @@ func (r *Router) countUnrouted() int {
 	return unrouted
 }
 
-// finish is the tail shared by the sequential and concurrent outer
-// loops: escalation, the final abort checkpoint, and result assembly.
+// finish is the tail of the outer loop: escalation, the final abort
+// checkpoint, and result assembly.
 func (r *Router) finish() Result {
 	if r.Opts.Escalate && r.abortReason == AbortNone {
 		unrouted := r.countUnrouted()

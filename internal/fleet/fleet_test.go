@@ -122,6 +122,14 @@ func TestSpecKeyEngine(t *testing.T) {
 		t.Error("explicit default engine keys differently from an absent one")
 	}
 
+	// "workers" is a legacy option name, accepted and ignored: it never
+	// changed routed output, so it must not split the cache.
+	legacy := buildSpec(t, 1)
+	legacy.Options["workers"] = 4
+	if specKey(classic) != specKey(legacy) {
+		t.Error("legacy workers option keys differently from an absent one")
+	}
+
 	// Unknown option names (the node rejects them with a 400) must not
 	// alias a valid spec.
 	bogus := buildSpec(t, 1)
@@ -167,19 +175,10 @@ func TestRouteCacheFIFO(t *testing.T) {
 // that makes failover cheap: the survivors' assignments don't churn.
 func TestRendezvousStability(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d"}
-	winner := func(key uint64, pool []string) string {
-		best, bestScore := "", uint64(0)
-		for _, n := range pool {
-			if s := rendezvous(n, key); best == "" || s > bestScore {
-				best, bestScore = n, s
-			}
-		}
-		return best
-	}
 	moved, kept := 0, 0
 	for key := uint64(0); key < 500; key++ {
-		before := winner(key, nodes)
-		after := winner(key, nodes[:3]) // drop "d"
+		before := rendezvousWinner(key, nodes)
+		after := rendezvousWinner(key, nodes[:3]) // drop "d"
 		if before == "d" {
 			moved++
 			continue
@@ -192,6 +191,18 @@ func TestRendezvousStability(t *testing.T) {
 	if moved == 0 || kept == 0 {
 		t.Fatalf("degenerate distribution: moved %d kept %d of 500", moved, kept)
 	}
+}
+
+// rendezvousWinner is the node of pool with the highest rendezvous
+// score for key: where placement puts the job when every node is ready.
+func rendezvousWinner(key uint64, pool []string) string {
+	best, bestScore := "", uint64(0)
+	for _, n := range pool {
+		if s := rendezvous(n, key); best == "" || s > bestScore {
+			best, bestScore = n, s
+		}
+	}
+	return best
 }
 
 // fleetNode is one in-process worker: a real server.Server behind a

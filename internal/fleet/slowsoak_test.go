@@ -82,7 +82,25 @@ type slowPhase struct {
 	sawSlow bool
 }
 
-// runSlowPhase boots a fresh coordinator and four workers (n4 slow on
+// slowestPlacement names the node rendezvous placement favours for the
+// most of specs. Making that node the fail-slow one guarantees it is
+// handed work before the coordinator can latch its posture, whatever
+// the cache-key hash of the specs happens to be.
+func slowestPlacement(specs []server.JobSpec, names []string) string {
+	wins := make(map[string]int, len(names))
+	for _, spec := range specs {
+		wins[rendezvousWinner(specKey(spec), names)]++
+	}
+	pick := names[0]
+	for _, n := range names {
+		if wins[n] > wins[pick] {
+			pick = n
+		}
+	}
+	return pick
+}
+
+// runSlowPhase boots a fresh coordinator and four workers (one slow on
 // both CPU and disk), pushes numJobs deadline-carrying jobs through
 // sequentially, and returns the per-job latencies. Before returning it
 // asserts the phase's own zero-loss/zero-dup contract across all four
@@ -108,8 +126,10 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 		}()
 
 		agentClient := &http.Client{Timeout: 10 * time.Second}
-		journals := make(map[string]string, 4)
-		for _, nn := range []string{"n1", "n2", "n3", "n4"} {
+		names := []string{"n1", "n2", "n3", "n4"}
+		slowName := slowestPlacement(specs, names)
+		journals := make(map[string]string, len(names))
+		for _, nn := range names {
 			cfg := server.Config{
 				Workers:     2,
 				QueueDepth:  8,
@@ -122,7 +142,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 				ClaimCommit: ClaimClient(ts.URL, nn, nil),
 				Logf:        t.Logf,
 			}
-			if nn == "n4" {
+			if nn == slowName {
 				// The fail-slow node: every board mutation stalls 2ms and
 				// every journal file operation drags 2ms. It is healthy by
 				// every liveness measure — it heartbeats, it answers, it
@@ -158,7 +178,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			seed[st.ID] = i % len(specs)
 			if !out.sawSlow {
 				for _, n := range c.Nodes() {
-					if n.Name == "n4" && n.Slow {
+					if n.Name == slowName && n.Slow {
 						out.sawSlow = true
 					}
 				}

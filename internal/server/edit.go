@@ -237,7 +237,6 @@ func (s *Server) rerouteIncremental(run *boardio.Snapshot, j *Job) (*board.Board
 		o.CheckpointSink = run.Opts.CheckpointSink
 		o.CheckpointEvery = run.Opts.CheckpointEvery
 		o.TimeBudget = run.Opts.TimeBudget
-		o.Workers = run.Opts.Workers
 		o.Paranoid = run.Opts.Paranoid
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,15 +43,12 @@ var (
 	ErrDeadline = errors.New("server: deadline cannot be met")
 )
 
-// Submission bounds enforced with 400s (request hardening): deadline_ms
-// must be in (0, MaxDeadlineMs] and an explicit "workers" option in
-// [1, MaxWorkersOption]. Both are generous — the point is rejecting
-// nonsense (negative, zero, or absurd values from buggy or hostile
-// clients) before it reaches the queue, not constraining real use.
-const (
-	MaxDeadlineMs    = int64(24 * 60 * 60 * 1000) // 24h
-	MaxWorkersOption = int64(4096)
-)
+// MaxDeadlineMs bounds deadline_ms, enforced with a 400 (request
+// hardening): it must be in (0, MaxDeadlineMs]. The bound is generous —
+// the point is rejecting nonsense (negative, zero, or absurd values from
+// buggy or hostile clients) before it reaches the queue, not
+// constraining real use.
+const MaxDeadlineMs = int64(24 * 60 * 60 * 1000) // 24h
 
 // Config parameterizes a Server. The zero value of every field gets a
 // sensible default from New; only JournalDir is required.
@@ -64,14 +60,6 @@ type Config struct {
 	NodeName string
 	// Workers is the routing worker pool size (default 4).
 	Workers int
-	// CPUSlots bounds the total routing goroutines the daemon may run at
-	// once: with a full pool, each of the Workers jobs is allowed at most
-	// CPUSlots/Workers intra-board workers (core.Options.Workers, the
-	// "workers" job option), so jobs × per-job parallelism can never
-	// oversubscribe the machine. Jobs asking for more are clamped at
-	// admission, not rejected. Default: GOMAXPROCS, but never below
-	// Workers — the pool itself is always allowed to run.
-	CPUSlots int
 	// QueueDepth bounds the live jobs — queued, running or awaiting
 	// retry — the daemon will hold (default 16). Beyond it, Submit sheds
 	// load with ErrQueueFull. Jobs recovered from the journal at startup
@@ -158,12 +146,6 @@ type Config struct {
 func (c *Config) setDefaults() error {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.CPUSlots <= 0 {
-		c.CPUSlots = runtime.GOMAXPROCS(0)
-	}
-	if c.CPUSlots < c.Workers {
-		c.CPUSlots = c.Workers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
@@ -510,13 +492,6 @@ func buildSnapshot(spec JobSpec, cfg Config) (*boardio.Snapshot, error) {
 		conns = strung.Conns
 	}
 
-	// Request hardening: an explicit "workers" option must be sane
-	// before the clamp below quietly adjusts it — zero, negative and
-	// absurd values are client bugs, and a 400 tells the client so.
-	if w, ok := spec.Options["workers"]; ok && (w <= 0 || w > MaxWorkersOption) {
-		return nil, fmt.Errorf("server: workers option must be in [1, %d], got %d", MaxWorkersOption, w)
-	}
-
 	opts := core.DefaultOptions()
 	for name, v := range spec.Options {
 		if err := boardio.ApplyOption(&opts, name, v); err != nil {
@@ -528,15 +503,6 @@ func buildSnapshot(spec JobSpec, cfg Config) (*boardio.Snapshot, error) {
 	}
 	if cfg.MaxTimeBudget > 0 && (opts.TimeBudget <= 0 || opts.TimeBudget > cfg.MaxTimeBudget) {
 		opts.TimeBudget = cfg.MaxTimeBudget
-	}
-	// Clamp per-job intra-board parallelism (the "workers" option) so a
-	// full worker pool cannot oversubscribe the machine. Harmless to the
-	// result either way: -jc N is bit-identical to sequential routing.
-	if maxJC := cfg.CPUSlots / cfg.Workers; opts.Workers > maxJC {
-		opts.Workers = maxJC
-	}
-	if opts.Workers < 0 {
-		opts.Workers = 0
 	}
 	return &boardio.Snapshot{
 		Design: d,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -586,61 +587,28 @@ func writeFile(path, content string) error {
 	})
 }
 
-// TestJobWorkersClampedToCPUSlots: per-job intra-board parallelism (the
-// "workers" job option) is admitted but clamped so that a full worker
-// pool can never run more than CPUSlots routing goroutines in total.
-func TestJobWorkersClampedToCPUSlots(t *testing.T) {
+// TestSubmitLegacyWorkersOption: "workers" (the retired intra-board
+// worker count) is still accepted from old clients, whatever its value,
+// and changes nothing — the job finishes bit-identically to the
+// daemon-free run without it.
+func TestSubmitLegacyWorkersOption(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Workers = 2
-	cfg.CPUSlots = 8
-	if err := cfg.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		ask, want int64
-	}{
-		{64, 4}, // 8 slots / 2 pool workers = 4 per job, max
-		{4, 4},  // exactly at the bound
-		{3, 3},  // within the bound: passes through
-		{1, 1},
-	}
-	for _, c := range cases {
-		snap, err := buildSnapshot(testSpec(t, 1, map[string]int64{"workers": c.ask}), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d rejected: %v", c.ask, err)
-		}
-		if got := int64(snap.Opts.Workers); got != c.want {
-			t.Errorf("workers=%d admitted as %d, want %d", c.ask, got, c.want)
-		}
-	}
-	// Nonsense values are client errors, rejected outright (request
-	// hardening), not silently normalized.
-	for _, bad := range []int64{0, -5, MaxWorkersOption + 1} {
-		if _, err := buildSnapshot(testSpec(t, 1, map[string]int64{"workers": bad}), cfg); err == nil {
-			t.Errorf("workers=%d admitted, want rejection", bad)
-		}
-	}
-
-	// Defaulting: CPUSlots never drops below the pool size, so on any
-	// machine a job asking for 1 worker (sequential engine) is untouched.
-	one := testConfig(t)
-	one.Workers = 4
-	if err := one.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	if one.CPUSlots < one.Workers {
-		t.Errorf("CPUSlots defaulted to %d, below the pool size %d", one.CPUSlots, one.Workers)
-	}
-}
-
-// TestSubmitConcurrentJobMatchesSequential: a job routed with intra-board
-// workers must finish bit-identically to the daemon-free sequential run —
-// the grrd-level restatement of the -jc determinism contract.
-func TestSubmitConcurrentJobMatchesSequential(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.CPUSlots = 8 // Workers=1, so jobs may use up to 8 intra-board workers
 	spec := testSpec(t, 6, nil)
 	wantFP, wantM := baseline(t, spec, cfg)
+
+	plain, err := buildSnapshot(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{-5, 0, 4, 1 << 20} {
+		snap, err := buildSnapshot(testSpec(t, 6, map[string]int64{"workers": v}), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d rejected: %v", v, err)
+		}
+		if !slices.Equal(boardio.OptionInts(&snap.Opts), boardio.OptionInts(&plain.Opts)) {
+			t.Errorf("workers=%d changed the resolved options", v)
+		}
+	}
 
 	s, err := New(cfg)
 	if err != nil {
@@ -660,6 +628,6 @@ func TestSubmitConcurrentJobMatchesSequential(t *testing.T) {
 		t.Errorf("fingerprint = %s, want %s", fin.Fingerprint, fp)
 	}
 	if *fin.Metrics != wantM {
-		t.Errorf("metrics diverged from sequential run:\n got  %+v\n want %+v", *fin.Metrics, wantM)
+		t.Errorf("metrics diverged from the daemon-free run:\n got  %+v\n want %+v", *fin.Metrics, wantM)
 	}
 }

@@ -54,12 +54,12 @@ type Searcher struct {
 	viaFree  func(geom.Point) bool
 	seenConn map[layer.ConnID]struct{}
 
-	// Read-extent tracking (DESIGN §11). With track set, every channel
+	// Read-extent tracking (DESIGN §15). With track set, every channel
 	// window a search scans and every via site it probes through viaFree
-	// is accumulated into per-orientation bounding boxes, so the
-	// concurrent router can test whether a later board mutation could
-	// have changed this search's result. Off by default; the cost when
-	// off is one branch per scan.
+	// is accumulated into per-orientation bounding boxes, so incremental
+	// re-routing can test whether a later board edit could have changed
+	// this search's result. Off by default; the cost when off is one
+	// branch per scan.
 	track  bool
 	tbox   [2]trackBox // indexed by grid.Orientation
 	viaBox geom.Rect
@@ -87,8 +87,8 @@ func (s *Searcher) TrackReads(on bool) {
 	s.ResetReads()
 }
 
-// ResetReads clears the accumulated read extents; the concurrent
-// router's workers call it before each connection attempt.
+// ResetReads clears the accumulated read extents; the incremental
+// router calls it before each routing turn.
 func (s *Searcher) ResetReads() {
 	for i := range s.tbox {
 		s.tbox[i] = trackBox{chs: geom.Iv(0, -1), pos: geom.Iv(0, -1)}

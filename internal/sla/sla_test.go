@@ -350,8 +350,8 @@ func TestTraceStraightLine(t *testing.T) {
 	}
 }
 
-// TestReadExtentCoversResultDeterminants is the soundness property the
-// concurrent router's conflict test rests on: any mutation landing
+// TestReadExtentCoversResultDeterminants is the soundness property
+// incremental memo adoption rests on: any mutation landing
 // strictly outside the tracked read extent of a search must leave that
 // search's result bit-identical. The test runs randomized traces with
 // tracking on, then flips the occupancy of free cells outside the

@@ -1,22 +1,21 @@
-// Command benchjson runs the Table 1 sweep at a set of intra-board
-// worker counts and writes the results as machine-readable JSON to
-// BENCH_<gitsha>.json, so successive commits can be compared number by
-// number instead of by eyeballing test logs.
+// Command benchjson runs the Table 1 sweep under the classic and the
+// goal-oriented search engine and writes the results as machine-readable
+// JSON to BENCH_<gitsha>.json, so successive commits can be compared
+// number by number instead of by eyeballing test logs.
 //
-// For every board and every -jc value it records wall-clock seconds,
-// heap allocations, routed/failed counts, via count, rip-ups and the
-// speculation counters (adoptions, conflicts, misses). Before writing
-// anything it asserts the concurrency contract: every worker count must
-// produce a bit-identical board fingerprint and Metrics struct to the
-// sequential run — a divergence is a hard error, not a data point.
+// For every board it records the classic engine's board fingerprint and,
+// per engine, wall-clock seconds, heap allocations and bytes, expanded
+// Lee nodes and routed/failed counts. Before writing anything it asserts
+// the goal-engine contract (assertEngines): routed-metric parity per
+// board and, at full scale, at least 20% fewer expanded nodes in
+// aggregate. Every routed board must also pass its audit.
 //
-// The environment block records GOMAXPROCS and NumCPU: speedup figures
-// are only meaningful on hardware that can actually run the workers in
-// parallel, and a single-core container will legitimately report ~1×.
+// The environment block records GOMAXPROCS and NumCPU, so a number can
+// be read against the hardware that produced it.
 //
 // Usage:
 //
-//	go run ./tools/benchjson -scale 4 -jc 1,4 -out .
+//	go run ./tools/benchjson -scale 4 -out .
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,45 +34,29 @@ import (
 	"repro/internal/workload"
 )
 
-type runResult struct {
-	Workers    int     `json:"workers"`
+// engineRun is one board routed sequentially under the named engine.
+type engineRun struct {
+	Engine     string  `json:"engine"`
 	Seconds    float64 `json:"seconds"`
 	Allocs     uint64  `json:"allocs"`
 	Bytes      uint64  `json:"bytes"`
+	Expansions int     `json:"lee_expansions"`
 	Routed     int     `json:"routed"`
 	Failed     int     `json:"failed"`
 	Vias       int     `json:"vias"`
 	RipUps     int     `json:"rip_ups"`
-	Expansions int     `json:"lee_expansions"`
-	Adopted    int     `json:"spec_adopted"`
-	Conflicts  int     `json:"spec_conflicts"`
-	Misses     int     `json:"spec_misses"`
-}
-
-// engineRun is one search-engine comparison row: the same board routed
-// sequentially under the named engine. The classic row duplicates the
-// jc=1 sweep numbers so the engines block reads standalone.
-type engineRun struct {
-	Engine     string  `json:"engine"`
-	Seconds    float64 `json:"seconds"`
-	Expansions int     `json:"lee_expansions"`
-	Routed     int     `json:"routed"`
-	Failed     int     `json:"failed"`
 }
 
 type boardResult struct {
-	Board       string      `json:"board"`
-	Conns       int         `json:"conns"`
-	Fingerprint string      `json:"fingerprint"`
-	Runs        []runResult `json:"runs"`
+	Board string `json:"board"`
+	Conns int    `json:"conns"`
+	// Fingerprint is the classic engine's routed board.
+	Fingerprint string `json:"fingerprint"`
 	// Engines compares the classic and goal-oriented engines on this
-	// board (both sequential). main asserts the comparison: the goal
-	// engine must expand meaningfully fewer nodes in aggregate while
-	// routing the same number of connections per board.
+	// board. main asserts the comparison: the goal engine must expand
+	// meaningfully fewer nodes in aggregate while routing the same
+	// number of connections per board.
 	Engines []engineRun `json:"engines"`
-	// Speedup is sequential seconds / fastest concurrent seconds (1.0
-	// when only jc=1 ran).
-	Speedup float64 `json:"speedup"`
 }
 
 type output struct {
@@ -90,16 +72,11 @@ type output struct {
 func main() {
 	var (
 		scale  = flag.Int("scale", 1, "shrink Table 1 boards by this factor")
-		jcList = flag.String("jc", "1,4", "comma-separated intra-board worker counts; must include 1")
 		outDir = flag.String("out", ".", "directory for BENCH_<gitsha>.json")
 		boards = flag.String("boards", "", "comma-separated board-name filter (default: all)")
 	)
 	flag.Parse()
 
-	jcs, err := parseJCs(*jcList)
-	if err != nil {
-		fatal(err)
-	}
 	want := map[string]bool{}
 	for _, b := range strings.Split(*boards, ",") {
 		if b = strings.TrimSpace(b); b != "" {
@@ -120,17 +97,14 @@ func main() {
 		if len(want) > 0 && !want[spec.Name] {
 			continue
 		}
-		br, err := benchBoard(spec.Scale(*scale), jcs)
+		br, err := benchBoard(spec.Scale(*scale))
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", spec.Name, err))
 		}
 		out.Boards = append(out.Boards, br)
-		fmt.Printf("%-10s %5d conns:", br.Board, br.Conns)
-		for _, r := range br.Runs {
-			fmt.Printf("  jc=%d %.3fs", r.Workers, r.Seconds)
-		}
-		fmt.Printf("  speedup %.2fx  expansions classic=%d goal=%d\n",
-			br.Speedup, br.Engines[0].Expansions, br.Engines[1].Expansions)
+		cl, gl := br.Engines[0], br.Engines[1]
+		fmt.Printf("%-10s %5d conns:  classic %.3fs %d expansions  goal %.3fs %d expansions  fp %s\n",
+			br.Board, br.Conns, cl.Seconds, cl.Expansions, gl.Seconds, gl.Expansions, br.Fingerprint)
 	}
 
 	if err := assertEngines(out.Boards); err != nil {
@@ -154,15 +128,14 @@ func main() {
 	fmt.Println("wrote", path)
 }
 
-// benchBoard routes one board once per worker count, asserting that
-// every run reproduces the sequential run bit-exactly.
-func benchBoard(spec workload.Spec, jcs []int) (boardResult, error) {
+// benchBoard routes one board once per engine, classic first, auditing
+// each result.
+func benchBoard(spec workload.Spec) (boardResult, error) {
 	br := boardResult{Board: spec.Name}
-	var refM core.Metrics
-	var refFP uint64
-	for i, jc := range jcs {
+	for _, engine := range []core.Engine{core.EngineClassic, core.EngineGoal} {
 		opts := core.DefaultOptions()
-		opts.Workers = jc
+		opts.Engine = engine
+		name := engine.String()
 
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -172,73 +145,27 @@ func benchBoard(spec workload.Spec, jcs []int) (boardResult, error) {
 			return br, err
 		}
 		runtime.ReadMemStats(&after)
+		if err := run.Board.Audit(); err != nil {
+			return br, fmt.Errorf("%s engine audit: %w", name, err)
+		}
 
 		m := run.Result.Metrics
-		fp := run.Board.Fingerprint()
-		if i == 0 {
-			refM, refFP = m, fp
+		if engine == core.EngineClassic {
 			br.Conns = m.Connections
-			br.Fingerprint = fmt.Sprintf("%016x", fp)
-		} else {
-			if fp != refFP {
-				return br, fmt.Errorf("jc=%d fingerprint %016x differs from jc=%d's %016x", jc, fp, jcs[0], refFP)
-			}
-			if m != refM {
-				return br, fmt.Errorf("jc=%d metrics differ from jc=%d:\n got  %+v\n want %+v", jc, jcs[0], m, refM)
-			}
+			br.Fingerprint = fmt.Sprintf("%016x", run.Board.Fingerprint())
 		}
-		if err := run.Board.Audit(); err != nil {
-			return br, fmt.Errorf("jc=%d audit: %w", jc, err)
-		}
-		adopted, conflicts, misses := run.Router.SpecStats()
-		br.Runs = append(br.Runs, runResult{
-			Workers:    jc,
+		br.Engines = append(br.Engines, engineRun{
+			Engine:     name,
 			Seconds:    run.Elapsed.Seconds(),
 			Allocs:     after.Mallocs - before.Mallocs,
 			Bytes:      after.TotalAlloc - before.TotalAlloc,
+			Expansions: m.LeeExpansions,
 			Routed:     m.Routed,
 			Failed:     m.Failed,
 			Vias:       m.ViasAdded,
 			RipUps:     m.RipUps,
-			Expansions: m.LeeExpansions,
-			Adopted:    adopted,
-			Conflicts:  conflicts,
-			Misses:     misses,
 		})
 	}
-	br.Speedup = 1
-	for _, r := range br.Runs[1:] {
-		if s := br.Runs[0].Seconds / r.Seconds; s > br.Speedup {
-			br.Speedup = s
-		}
-	}
-
-	// Engine comparison: one sequential goal-engine run against the
-	// sequential classic numbers already measured.
-	br.Engines = append(br.Engines, engineRun{
-		Engine:     "classic",
-		Seconds:    br.Runs[0].Seconds,
-		Expansions: br.Runs[0].Expansions,
-		Routed:     br.Runs[0].Routed,
-		Failed:     br.Runs[0].Failed,
-	})
-	gopts := core.DefaultOptions()
-	gopts.Engine = core.EngineGoal
-	grun, err := experiment.RouteSpec(spec, gopts)
-	if err != nil {
-		return br, err
-	}
-	if err := grun.Board.Audit(); err != nil {
-		return br, fmt.Errorf("goal engine audit: %w", err)
-	}
-	gm := grun.Result.Metrics
-	br.Engines = append(br.Engines, engineRun{
-		Engine:     "goal",
-		Seconds:    grun.Elapsed.Seconds(),
-		Expansions: gm.LeeExpansions,
-		Routed:     gm.Routed,
-		Failed:     gm.Failed,
-	})
 	return br, nil
 }
 
@@ -300,21 +227,6 @@ func assertEngines(boards []boardResult) error {
 			goalTotal, classicTotal)
 	}
 	return nil
-}
-
-func parseJCs(s string) ([]int, error) {
-	var jcs []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -jc value %q", f)
-		}
-		jcs = append(jcs, n)
-	}
-	if len(jcs) == 0 || jcs[0] != 1 {
-		return nil, fmt.Errorf("-jc must start with 1 (the sequential reference): %q", s)
-	}
-	return jcs, nil
 }
 
 func gitSHA() string {
