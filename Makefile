@@ -4,10 +4,12 @@
 # vulnerability scan when those tools are available (each needs the
 # tool and, for govulncheck, network access, so both are skipped,
 # loudly, where missing). The race detector runs outside the default
-# target so it stays fast: CI's race job covers the packages where a
-# router meets goroutines (internal/core's context-cancel flag and
-# internal/experiment's Table1Parallel), and `make race` is the
-# full-suite version for local soaks.
+# target so it stays fast: CI's race job covers the packages where
+# goroutines meet shared state (internal/core's context-cancel flag,
+# internal/experiment's Table1Parallel, and all of internal/server,
+# whose workers, retry timers, disk probe and API calls meet in the
+# job lifecycle), and `make race` is the full-suite version for local
+# soaks.
 
 GO ?= go
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/boardio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/stringer"
 	"repro/internal/workload"
@@ -428,5 +429,41 @@ func TestCoordinatorDegradesToRetryAfter(t *testing.T) {
 	rz.Body.Close()
 	if rz.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("empty-fleet readyz = %d, want 503", rz.StatusCode)
+	}
+}
+
+// TestStatusSkipsFencedOwner: a status query for a job whose owner is
+// fenced answers 503 (failover in progress) without asking the owner. A
+// fenced node's own view of the job — "failed: journal fenced" — is not
+// the job's result, and caching it would shadow the copy re-homed on a
+// peer.
+func TestStatusSkipsFencedOwner(t *testing.T) {
+	const id = "job-z-000001"
+	var asked atomic.Int64
+	zombie := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		json.NewEncoder(w).Encode(server.Status{ID: id, State: server.StateFailed, Error: "server: journal fenced"})
+	}))
+	defer zombie.Close()
+	c := New(Config{HeartbeatEvery: time.Hour, Logf: t.Logf})
+	defer c.Close()
+	c.mu.Lock()
+	c.nodes["z"] = &node{Name: "z", Addr: zombie.URL, Fenced: true, lastBeat: time.Now(), fwd: obs.NewEWMA(0.3)}
+	c.assign[id] = assignment{node: "z"}
+	c.mu.Unlock()
+
+	rr := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("GET /jobs/%s = %d %s, want 503", id, rr.Code, strings.TrimSpace(rr.Body.String()))
+	}
+	if n := asked.Load(); n != 0 {
+		t.Errorf("the fenced owner was asked %d times", n)
+	}
+	c.mu.Lock()
+	st, cached := c.results[id]
+	c.mu.Unlock()
+	if cached {
+		t.Errorf("the fenced owner's view was cached as the result: %+v", st)
 	}
 }

@@ -367,7 +367,10 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	a, ok := c.assign[id]
 	var addr string
 	if ok {
-		if n, live := c.nodes[a.node]; live {
+		// A fenced owner is never asked: its local view of a job it can
+		// no longer journal (typically "failed: journal fenced") is not
+		// an answer, and caching it would shadow the re-homed copy.
+		if n, known := c.nodes[a.node]; known && n.alive() {
 			addr = n.Addr
 		}
 	}

@@ -117,8 +117,9 @@ func (s *Server) probeDisk() error {
 	return simfs.Current().Remove(path)
 }
 
-// exitDiskDegraded clears the posture and requeues the jobs that
-// parked on disk errors.
+// exitDiskDegraded clears the posture, writes the handoffs the disk
+// refused and requeues the jobs parked on it. A write that fails again
+// leaves its job where it was for the next successful probe.
 func (s *Server) exitDiskDegraded() {
 	if !s.diskDegraded.CompareAndSwap(true, false) {
 		return
@@ -127,103 +128,10 @@ func (s *Server) exitDiskDegraded() {
 	s.obs.diskRecoveries.Inc()
 	s.cfg.Logf("grrd: disk recovered, resuming admissions")
 	s.log.Log("disk_recovered")
-	s.rejournalHandoffs()
-	s.unparkAll()
-}
-
-// rejournalHandoffs writes the handed_off records that Steal could not
-// journal while the disk was down, closing the window in which a
-// crash+restart would re-run a job that now lives on a peer.
-func (s *Server) rejournalHandoffs() {
-	s.mu.Lock()
-	var pending []*Job
-	for _, j := range s.jobs {
-		if j.unjournaled && j.State == StateHandedOff {
-			pending = append(pending, j)
-		}
+	for _, j := range s.leaving(evRejournal) {
+		s.transition(j, evRejournal, nil)
 	}
-	s.mu.Unlock()
-	for _, j := range pending {
-		s.mu.Lock()
-		rec := *j
-		s.mu.Unlock()
-		if err := s.saveJob(&rec); err != nil {
-			s.cfg.Logf("grrd: re-journaling handoff of %s: %v", j.ID, err)
-			continue
-		}
-		s.mu.Lock()
-		j.unjournaled = false
-		s.mu.Unlock()
-		s.log.Log("handoff_rejournaled", "job", j.ID)
-	}
-}
-
-// parkOnDisk shelves a job whose attempt died on a disk error: it goes
-// to interrupted (the same state a graceful drain uses) with the
-// parked mark, keeps its admission slot, and waits for the disk to
-// heal instead of spending attempts. Parking does not count against
-// MaxAttempts for the same reason drain doesn't — the job did nothing
-// wrong.
-func (s *Server) parkOnDisk(j *Job, cause error) {
-	s.mu.Lock()
-	j.State = StateInterrupted
-	j.parked = true
-	j.Err = cause.Error()
-	rec := *j
-	s.mu.Unlock()
-	s.parkedN.Add(1)
-	// Best-effort: with the disk down this journal write usually fails
-	// too, leaving the on-disk record at running/retrying — which is
-	// exactly what a crashed daemon would leave, and recovery requeues
-	// those. Durability is not lost, only freshness.
-	if err := s.saveJob(&rec); err != nil {
-		s.cfg.Logf("grrd: journaling parked %s: %v", j.ID, err)
-	}
-	s.obs.diskParked.Inc()
-	s.obs.interrupted.Inc()
-	s.cfg.Logf("grrd: %s parked on disk error: %v", j.ID, cause)
-	s.log.Log("job_parked_disk", "job", j.ID, "attempt", j.Attempt, "err", cause.Error())
-}
-
-// unparkAll requeues every disk-parked job after the disk heals. Same
-// anti-race shape as requeue: journal the queued record while the job
-// still reads interrupted, so it cannot be stolen (and concurrently
-// journaled) before its record is durable.
-func (s *Server) unparkAll() {
-	s.mu.Lock()
-	var parked []*Job
-	for _, j := range s.jobs {
-		if j.parked && j.State == StateInterrupted {
-			parked = append(parked, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range parked {
-		s.mu.Lock()
-		if !j.parked || j.State != StateInterrupted {
-			s.mu.Unlock()
-			continue
-		}
-		rec := *j
-		rec.State = StateQueued
-		s.mu.Unlock()
-		if err := s.saveJob(&rec); err != nil {
-			// The disk flapped again mid-recovery; the job stays parked
-			// for the next successful probe.
-			s.cfg.Logf("grrd: journaling unparked %s: %v", j.ID, err)
-			continue
-		}
-		s.mu.Lock()
-		if !j.parked || j.State != StateInterrupted {
-			s.mu.Unlock()
-			continue
-		}
-		j.parked = false
-		j.State = StateQueued
-		s.mu.Unlock()
-		s.parkedN.Add(-1)
-		s.queue <- j
-		s.channelGauges()
-		s.log.Log("job_unparked", "job", j.ID, "attempt", rec.Attempt)
+	for _, j := range s.leaving(evUnpark) {
+		s.transition(j, evUnpark, nil)
 	}
 }

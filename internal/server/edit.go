@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/board"
 	"repro/internal/boardio"
@@ -63,95 +62,42 @@ func (s *Server) retain(id string, run *retainedRun) {
 // connection list with removed nets trivialized and added connections
 // appended, and its router options verbatim (the incremental path may
 // only run under the options the parent's regions were recorded with).
-// The parent must be done. Admission control — draining, fencing, disk
-// posture, queue slots, journaling — is exactly Submit's.
+// The parent must be done. Admission — the posture gates, the deadline
+// check and the admit edge — is Submit's.
 func (s *Server) SubmitEdit(parentID string, edits []core.Edit, deadlineMs *int64) (Status, error) {
-	if s.draining.Load() {
-		s.obs.rejectDrain.Inc()
-		return Status{}, ErrDraining
-	}
-	if s.fenced.Load() {
-		return Status{}, ErrFenced
-	}
-	if s.diskDegraded.Load() {
-		s.obs.rejectDisk.Inc()
-		return Status{}, ErrDiskDegraded
+	if err := s.admissionClosed(); err != nil {
+		return Status{}, err
 	}
 	if len(edits) == 0 {
 		s.obs.rejectSpec.Inc()
 		return Status{}, fmt.Errorf("server: edit: no edits")
 	}
-	var budget time.Duration
-	if deadlineMs != nil {
-		ms := *deadlineMs
-		if ms <= 0 || ms > MaxDeadlineMs {
-			s.obs.rejectSpec.Inc()
-			return Status{}, fmt.Errorf("server: deadline_ms must be in (0, %d], got %d", MaxDeadlineMs, ms)
-		}
-		budget = time.Duration(ms) * time.Millisecond
-	}
-
-	s.mu.Lock()
-	parent, ok := s.jobs[parentID]
-	var parentSnap *boardio.Snapshot
-	var parentState State
-	if ok {
-		parentSnap = parent.snap
-		parentState = parent.State
-	}
-	s.mu.Unlock()
-	if !ok || parentSnap == nil {
-		return Status{}, fmt.Errorf("%w: %s", ErrUnknownJob, parentID)
-	}
-	if parentState != StateDone {
-		return Status{}, fmt.Errorf("%w: %s is %s", ErrNotDone, parentID, parentState)
-	}
-
-	snap, err := editSnapshot(parentSnap, edits)
+	budget, err := validateDeadline(deadlineMs)
 	if err != nil {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
 	}
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-		if err := s.admitDeadline(deadline, len(snap.Conns)); err != nil {
-			s.obs.deadlineRefused.Inc()
-			return Status{}, err
-		}
+
+	var parent Job
+	s.mu.Lock()
+	if j := s.jobs[parentID]; j != nil {
+		parent = *j
+	}
+	s.mu.Unlock()
+	if parent.snap == nil {
+		return Status{}, fmt.Errorf("%w: %s", ErrUnknownJob, parentID)
+	}
+	if parent.State != StateDone {
+		return Status{}, fmt.Errorf("%w: %s is %s", ErrNotDone, parentID, parent.State)
 	}
 
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.obs.rejectFull.Inc()
-		return Status{}, ErrQueueFull
+	snap, err := editSnapshot(parent.snap, edits)
+	if err != nil {
+		s.obs.rejectSpec.Inc()
+		return Status{}, err
 	}
-
-	s.mu.Lock()
-	id := s.newID()
-	s.mu.Unlock()
-	now := time.Now()
-	j := &Job{
-		ID: id, State: StateQueued, snap: snap, created: now, Deadline: deadline,
-		enqueuedAt: now, editParent: parentID, edits: edits,
-	}
-	rec := *j
-	if err := s.saveJob(&rec); err != nil {
-		<-s.slots
-		s.obs.rejectJournal.Inc()
-		s.channelGauges()
-		return Status{}, fmt.Errorf("%w: journaling job: %v", ErrInternal, err)
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.mu.Unlock()
-	s.obs.submitted.Inc()
-	s.queue <- j
-	s.channelGauges()
-	s.log.Log("job_edit_submitted", "job", id, "parent", parentID,
-		"edits", len(edits), "conns", len(snap.Conns))
-	return rec.status(), nil
+	j := &Job{snap: snap, editParent: parentID, edits: edits}
+	return s.admit(j, evEdit, budget, "parent", parentID, "edits", len(edits), "conns", len(snap.Conns))
 }
 
 // editSnapshot materializes the edited problem: the parent design plus

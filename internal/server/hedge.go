@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -22,11 +23,11 @@ import (
 // validateDeadline checks a submission's deadline_ms bound and converts
 // it to a duration (0 = no deadline). Violations are client errors: the
 // HTTP layer maps them to 400.
-func validateDeadline(spec JobSpec) (time.Duration, error) {
-	if spec.DeadlineMs == nil {
+func validateDeadline(deadlineMs *int64) (time.Duration, error) {
+	if deadlineMs == nil {
 		return 0, nil
 	}
-	v := *spec.DeadlineMs
+	v := *deadlineMs
 	if v <= 0 {
 		return 0, fmt.Errorf("server: deadline_ms must be positive, got %d", v)
 	}
@@ -124,79 +125,39 @@ func (s *Server) claimTerminal(j *Job) (win bool, err error) {
 
 // Supersede cancels this node's copy of a hedged job because a peer's
 // copy won (or is about to win) the commit race. A running attempt is
-// aborted through its context and steps aside when it unwinds; a
-// waiting copy — queued, retrying, parked — flips to handed_off right
-// here, under one lock hold, so a worker cannot start it mid-cancel.
-// Terminal and handed-off copies are left alone. Returns the state the
-// job was in when the cancel landed.
+// only signalled: its context is cancelled and it takes the supersede
+// edge itself when it unwinds. A waiting copy — queued, retrying,
+// interrupted by a drain or parked — takes the supersede edge here, once
+// no other transition holds it. Terminal and handed-off copies are left
+// alone. Returns the state the job was in when the cancel landed.
 func (s *Server) Supersede(id string) (State, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return "", fmt.Errorf("server: unknown job %s", id)
-	}
-	st := j.State
-	if !st.Live() {
-		s.mu.Unlock()
-		return st, nil
-	}
-	if st == StateRunning {
-		j.superseded = true
-		cancel := j.cancelRun
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel()
+	for {
+		s.mu.Lock()
+		j, ok := s.jobs[id]
+		if !ok {
+			s.mu.Unlock()
+			return "", fmt.Errorf("server: unknown job %s", id)
 		}
-		return st, nil
-	}
-	if j.stopRetry != nil {
-		j.stopRetry()
-		j.stopRetry = nil
-	}
-	wasParked := j.parked
-	j.State = StateHandedOff
-	j.parked = false
-	j.superseded = true
-	rec := *j
-	s.mu.Unlock()
-	s.finishSupersede(j, &rec, wasParked, "cancelled by coordinator")
-	return st, nil
-}
-
-// supersedeFromRun steps a losing copy aside from its own settle path:
-// the attempt that just finished (or was cancelled) belongs to this
-// goroutine, so no other flip can race it — Supersede never touches
-// running jobs directly.
-func (s *Server) supersedeFromRun(j *Job, reason string) {
-	s.mu.Lock()
-	if !j.State.Live() {
+		for j.busy {
+			s.idle.Wait()
+		}
+		st, waiting := j.State, edges[evSupersede].leaves(j)
+		if st == StateRunning {
+			j.marks |= markSuperseded
+			cancel := j.cancelRun
+			s.mu.Unlock()
+			if cancel != nil {
+				cancel()
+			}
+			return st, nil
+		}
 		s.mu.Unlock()
-		return
+		if !waiting {
+			return st, nil
+		}
+		// errMoved: another edge took the job first; look again.
+		if _, err := s.transition(j, evSupersede, superseding, "reason", "cancelled by coordinator"); !errors.Is(err, errMoved) {
+			return st, nil
+		}
 	}
-	wasParked := j.parked
-	j.State = StateHandedOff
-	j.parked = false
-	j.superseded = true
-	rec := *j
-	s.mu.Unlock()
-	s.finishSupersede(j, &rec, wasParked, reason)
-}
-
-// finishSupersede journals the handed_off record and releases the
-// loser's admission slot — the same bookkeeping as a steal, because a
-// supersede IS a handoff: the job lives on, just not here.
-func (s *Server) finishSupersede(j *Job, rec *Job, wasParked bool, reason string) {
-	rec.Err = ""
-	if err := s.saveJob(rec); err != nil {
-		s.cfg.Logf("grrd: journaling superseded %s: %v", j.ID, err)
-	}
-	if wasParked {
-		s.parkedN.Add(-1)
-	}
-	<-s.slots
-	s.channelGauges()
-	s.obs.superseded.Inc()
-	s.cfg.Logf("grrd: %s superseded: %s", j.ID, reason)
-	s.log.Log("job_superseded", "job", j.ID, "reason", reason)
 }

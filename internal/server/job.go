@@ -99,10 +99,11 @@ type JobSpec struct {
 }
 
 // Job is the server's record of one routing job. All fields are guarded
-// by the owning Server's mutex; snap's Design/Conns/Opts are immutable
-// after admission and its Check pointer is swapped wholesale at each
-// checkpoint, so a journal writer can serialize a consistent record
-// without holding the lock.
+// by the owning Server's mutex, and only Server.transition changes a
+// job's place in the lifecycle (lifecycle.go). snap's Design/Conns/Opts
+// are immutable after admission and its Check pointer is swapped
+// wholesale at each checkpoint, so a journal writer can serialize a
+// consistent record without holding the lock.
 type Job struct {
 	ID      string
 	State   State
@@ -132,6 +133,11 @@ type Job struct {
 	// commit claim before journaling a terminal state.
 	HedgeToken uint64
 
+	// busy is the job's latch: set while a transition runs, from its
+	// check to its log line, so each record has one writer at a time.
+	// Waiters sleep on Server.idle. Runtime-only.
+	busy bool
+
 	// stopRetry cancels a pending backoff timer; nil when none is armed.
 	stopRetry func() bool
 
@@ -142,12 +148,6 @@ type Job struct {
 	// the journaled token re-derives it.
 	claimRequired bool
 
-	// superseded marks a copy that lost the hedge race (or was
-	// cancelled by the coordinator): its running attempt is aborted and
-	// its record flips to handed_off — the winner's journal is
-	// authoritative. Runtime-only.
-	superseded bool
-
 	// committing marks a terminal commit in flight: set (under the
 	// server mutex) the moment claimTerminal decides whether a claim is
 	// required, cleared when a fresh attempt starts. ArmClaim refuses to
@@ -156,8 +156,7 @@ type Job struct {
 	// write, which would let both copies commit. Runtime-only.
 	committing bool
 
-	// cancelRun aborts the in-flight attempt's context; nil when no
-	// attempt is running. Runtime-only.
+	// cancelRun aborts the running attempt's context. Runtime-only.
 	cancelRun context.CancelFunc
 
 	// enqueuedAt is when the job last entered the run queue; the
@@ -165,15 +164,9 @@ type Job struct {
 	// Runtime-only.
 	enqueuedAt time.Time
 
-	// parked marks an interrupted job shelved by the disk-degraded
-	// posture (slot retained, requeued when the disk heals). Runtime-
-	// only: a restarted daemon requeues interrupted jobs anyway.
-	parked bool
-
-	// unjournaled marks a handed_off job whose handoff record could not
-	// be written because the disk was degraded; the record is re-written
-	// when the disk heals. Runtime-only.
-	unjournaled bool
+	// marks are the runtime flags the lifecycle table narrows states by
+	// (markParked, markSuperseded, markUnjournaled). Runtime-only.
+	marks mark
 
 	// created is when this process admitted (or recovered) the job —
 	// runtime-only, for the grr_job_seconds latency histogram. Not

@@ -21,7 +21,7 @@ import (
 //
 //	grrdjob v1
 //	id <job id>
-//	state <queued|running|retrying|interrupted|done|failed>
+//	state <queued|running|retrying|interrupted|done|failed|handed_off>
 //	attempt <n>
 //	error <quoted string>            last failure, "" when none
 //	aborted <quoted string>          abort reason of the last stop, "" when none

@@ -3,7 +3,6 @@ package server
 import (
 	crand "crypto/rand"
 	"encoding/binary"
-	"errors"
 	"time"
 
 	"repro/internal/obs"
@@ -31,13 +30,9 @@ var retryCauses = [...]string{causePanic, causeCheckpoint, causeConflict, causeA
 type serverObs struct {
 	reg *obs.Registry
 
-	submitted   *obs.Counter
-	recovered   *obs.Counter
-	done        *obs.Counter
-	failed      *obs.Counter
-	interrupted *obs.Counter
-	attempts    *obs.Counter
-	retried     map[string]*obs.Counter
+	// edge holds each lifecycle edge's counters (the table's count column).
+	edge    [numEvents][]*obs.Counter
+	retried map[string]*obs.Counter
 
 	rejectFull    *obs.Counter
 	rejectDrain   *obs.Counter
@@ -57,8 +52,6 @@ type serverObs struct {
 	journalReplayed  *obs.Counter
 	journalCorrupt   *obs.Counter
 
-	stolen        *obs.Counter
-	adopted       *obs.Counter
 	journalFenced *obs.Counter
 
 	diskDegradedG      *obs.Gauge
@@ -66,7 +59,6 @@ type serverObs struct {
 	diskProbes         *obs.Counter
 	diskProbeFailures  *obs.Counter
 	diskRecoveries     *obs.Counter
-	diskParked         *obs.Counter
 	diskTmpCleaned     *obs.Counter
 	journalQuarantined *obs.Counter
 
@@ -78,7 +70,6 @@ type serverObs struct {
 	queueWaitSeconds *obs.Histogram
 	claimWins        *obs.Counter
 	claimLosses      *obs.Counter
-	superseded       *obs.Counter
 }
 
 func newServerObs(reg *obs.Registry) *serverObs {
@@ -86,14 +77,8 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		reg = obs.NewRegistry()
 	}
 	o := &serverObs{
-		reg:         reg,
-		submitted:   reg.Counter("grr_jobs_submitted_total"),
-		recovered:   reg.Counter("grr_jobs_recovered_total"),
-		done:        reg.Counter("grr_jobs_done_total"),
-		failed:      reg.Counter("grr_jobs_failed_total"),
-		interrupted: reg.Counter("grr_jobs_interrupted_total"),
-		attempts:    reg.Counter("grr_job_attempts_total"),
-		retried:     make(map[string]*obs.Counter, len(retryCauses)),
+		reg:     reg,
+		retried: make(map[string]*obs.Counter, len(retryCauses)),
 
 		rejectFull:    reg.Counter(`grr_admission_rejects_total{reason="queue_full"}`),
 		rejectDrain:   reg.Counter(`grr_admission_rejects_total{reason="draining"}`),
@@ -113,8 +98,6 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		journalReplayed:  reg.Counter("grr_journal_records_replayed_total"),
 		journalCorrupt:   reg.Counter("grr_journal_records_corrupt_total"),
 
-		stolen:        reg.Counter("grr_jobs_stolen_total"),
-		adopted:       reg.Counter("grr_jobs_adopted_total"),
 		journalFenced: reg.Counter("grr_journal_writes_fenced_total"),
 
 		diskDegradedG:      reg.Gauge("grr_disk_degraded"),
@@ -122,7 +105,6 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		diskProbes:         reg.Counter("grr_disk_probes_total"),
 		diskProbeFailures:  reg.Counter("grr_disk_probe_failures_total"),
 		diskRecoveries:     reg.Counter("grr_disk_recoveries_total"),
-		diskParked:         reg.Counter("grr_disk_jobs_parked_total"),
 		diskTmpCleaned:     reg.Counter("grr_disk_tmp_cleaned_total"),
 		journalQuarantined: reg.Counter("grr_journal_records_quarantined_total"),
 
@@ -131,7 +113,11 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		queueWaitSeconds: reg.Histogram("grr_queue_wait_seconds", obs.DurationBuckets()),
 		claimWins:        reg.Counter(`grr_hedge_claim_attempts_total{result="win"}`),
 		claimLosses:      reg.Counter(`grr_hedge_claim_attempts_total{result="lose"}`),
-		superseded:       reg.Counter("grr_hedge_superseded_total"),
+	}
+	for ev, e := range edges {
+		for _, name := range e.count {
+			o.edge[ev] = append(o.edge[ev], reg.Counter(name))
+		}
 	}
 	for _, cause := range retryCauses {
 		o.retried[cause] = reg.Counter(`grr_jobs_retried_total{cause="` + cause + `"}`)
@@ -159,46 +145,12 @@ func (o *serverObs) claim(win bool) {
 	}
 }
 
-// channels publishes the current queue/slot occupancy. Called after
-// every channel operation; the values are instantaneous reads, which is
+// gauges publishes the current run-queue and slot occupancy. Callers
+// hold the server mutex; the values are instantaneous reads, which is
 // all a gauge promises.
-func (s *Server) channelGauges() {
+func (s *Server) gauges() {
 	s.obs.queueDepth.Set(int64(len(s.queue)))
-	s.obs.slotsInUse.Set(int64(len(s.slots)))
-}
-
-// saveJob journals one job record through saveJobRecord, counting
-// writes and write failures. All journal writes in the server go
-// through here — and every one re-checks the journal epoch first, so a
-// node whose jobs were fenced over to a peer (epoch bumped in its
-// journal dir) is refused before it can double-commit anything. The
-// first refusal latches s.fenced: the node stops admitting and fails
-// its in-flight work without journaling.
-func (s *Server) saveJob(rec *Job) error {
-	if err := checkEpoch(s.cfg.JournalDir, s.epoch); err != nil {
-		if errors.Is(err, ErrFenced) && s.fenced.CompareAndSwap(false, true) {
-			s.cfg.Logf("grrd: journal fenced, refusing write for %s: %v", rec.ID, err)
-			s.log.Log("journal_fenced", "job", rec.ID, "epoch", s.epoch)
-		}
-		s.obs.journalFenced.Inc()
-		// A checkEpoch failure that is not a fence is a failed read of the
-		// EPOCH file — possibly the disk, so classify it too.
-		s.noteDiskError(err)
-		return err
-	}
-	t0 := time.Now()
-	err := saveJobRecord(s.cfg.JournalDir, rec)
-	s.obs.journalWrites.Inc()
-	if err != nil {
-		s.obs.journalWriteErrs.Inc()
-		s.noteDiskError(err)
-		return err
-	}
-	// Journal-write latency is the disk half of the node's fail-slow
-	// signal; only successful writes train it (failures latch the
-	// degraded posture instead — a different failure mode).
-	s.diskLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
-	return nil
+	s.obs.slotsInUse.Set(int64(s.live))
 }
 
 // entropySeed derives a non-zero RNG seed from the OS entropy pool,

@@ -209,16 +209,6 @@ type Server struct {
 	epoch  uint64
 	fenced atomic.Bool
 
-	// runningN counts attempts executing right now — the heartbeat
-	// load report's "running" (the obs gauge tracks the same value for
-	// scrapes; this one is readable).
-	runningN atomic.Int64
-
-	// parkedN counts disk-parked jobs. They report as queued in Load —
-	// they are waiting work a peer could steal — but live outside the
-	// queue channel, so the channel length alone undercounts them.
-	parkedN atomic.Int64
-
 	// Fail-slow signals (DESIGN §14). queueWait and diskLat feed the
 	// heartbeat Load report (milliseconds) so the coordinator can spot
 	// a node whose jobs wait too long or whose journal writes drag;
@@ -232,22 +222,23 @@ type Server struct {
 	jobs map[string]*Job
 	seq  int
 	rng  *rand.Rand
+	// idle wakes transitions waiting for a job's latch (Job.busy); work
+	// wakes workers waiting for the run queue. Both use mu.
+	idle *sync.Cond
+	work *sync.Cond
 	// retained caches completed runs' routers for incremental edits
 	// (edit.go); retainedOrder is its FIFO eviction order.
 	retained      map[string]*retainedRun
 	retainedOrder []string
-	// adopting marks job IDs whose adopted record is mid-write, so a
-	// second concurrent handoff of the same ID is refused instead of
-	// racing the first one's journal write.
-	adopting map[string]bool
 
-	// queue carries runnable jobs to workers; slots is the admission
-	// semaphore. Every live (non-terminal) job holds one slot, acquired
-	// at Submit (or journal recovery) and released at its terminal
-	// transition — so both channels' shared capacity bounds live jobs,
-	// and sends to queue can never block.
-	queue chan *Job
-	slots chan struct{}
+	// queue is the run queue, in arrival order; parkedN counts the
+	// disk-parked jobs, which Load reports as queued — waiting work a
+	// peer could steal. live counts the admission slots held, of
+	// capacity: every live job holds one (DESIGN §9.1). All guarded by
+	// mu, all kept by transition.
+	queue          []*Job
+	parkedN        int
+	live, capacity int
 
 	draining    atomic.Bool
 	drainCtx    context.Context
@@ -316,15 +307,15 @@ func New(cfg Config) (*Server, error) {
 		retryAfterDrain: retryAfterSeconds(cfg.DrainBudget),
 		retryAfterDisk:  retryAfterSeconds(cfg.DiskProbeEvery),
 		jobs:            make(map[string]*Job),
-		adopting:        make(map[string]bool),
 		retained:        make(map[string]*retainedRun),
 		rng:             rand.New(rand.NewSource(cfg.RetrySeed)),
-		queue:           make(chan *Job, depth),
-		slots:           make(chan struct{}, depth),
+		capacity:        depth,
 		queueWait:       obs.NewEWMA(0.3),
 		diskLat:         obs.NewEWMA(0.3),
 		connCost:        obs.NewEWMA(0.2),
 	}
+	s.idle = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 
 	for _, j := range recovered {
@@ -339,25 +330,15 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		// The job was admitted before the crash; its slot is part of the
-		// extended capacity, so this can never block.
-		s.slots <- struct{}{}
-		prev := j.State
-		j.State = StateQueued
-		j.created = time.Now()
-		j.enqueuedAt = j.created
-		// A recovered record carrying a hedge token is one copy of a
-		// hedged job: it must still win the commit claim before settling.
-		j.claimRequired = j.HedgeToken != 0
-		if err := s.saveJob(j); err != nil {
+		// extended capacity. A recovered record carrying a hedge token is
+		// one copy of a hedged job: it must still win the commit claim.
+		now := time.Now()
+		if _, err := s.transition(j, evRecover, func(j *Job) {
+			j.created = now
+			j.claimRequired = j.HedgeToken != 0
+		}, "prev", string(j.State)); err != nil {
 			return nil, err
 		}
-		o.recovered.Inc()
-		cfg.Logf("grrd: recovered %s (%s, attempt %d, %d/%d routed)",
-			j.ID, prev, j.Attempt, j.snap.Check.Metrics.Routed, len(j.snap.Conns))
-		s.log.Log("job_recovered", "job", j.ID, "prev", string(prev),
-			"attempt", j.Attempt, "routed", j.snap.Check.Metrics.Routed)
-		s.queue <- j
-		s.channelGauges()
 	}
 
 	for i := 0; i < cfg.Workers; i++ {
@@ -403,20 +384,10 @@ func (s *Server) newID() string {
 // it. It returns the queued job's status, or ErrQueueFull / ErrDraining
 // when admission is refused.
 func (s *Server) Submit(spec JobSpec) (Status, error) {
-	if s.draining.Load() {
-		s.obs.rejectDrain.Inc()
-		return Status{}, ErrDraining
+	if err := s.admissionClosed(); err != nil {
+		return Status{}, err
 	}
-	if s.fenced.Load() {
-		return Status{}, ErrFenced
-	}
-	if s.diskDegraded.Load() {
-		// Admitting a job means promising it a durable record; a degraded
-		// disk cannot make that promise.
-		s.obs.rejectDisk.Inc()
-		return Status{}, ErrDiskDegraded
-	}
-	budget, err := validateDeadline(spec)
+	budget, err := validateDeadline(spec.DeadlineMs)
 	if err != nil {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
@@ -426,48 +397,52 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
 	}
-	var deadline time.Time
+	return s.admit(&Job{snap: snap}, evAdmit, budget, "conns", len(snap.Conns))
+}
+
+// admissionClosed refuses every kind of admission (submit, edit, adopt)
+// while the node is draining, fenced or on a degraded disk — admitting
+// a job means promising it a durable record.
+func (s *Server) admissionClosed() error {
+	switch {
+	case s.draining.Load():
+		s.obs.rejectDrain.Inc()
+		return ErrDraining
+	case s.fenced.Load():
+		return ErrFenced
+	case s.diskDegraded.Load():
+		s.obs.rejectDisk.Inc()
+		return ErrDiskDegraded
+	}
+	return nil
+}
+
+// admit queues a new job along evAdmit or evEdit: the deadline check
+// against the estimated cost, then the edge.
+func (s *Server) admit(j *Job, ev event, budget time.Duration, kv ...any) (Status, error) {
+	j.created = time.Now()
 	if budget > 0 {
-		deadline = time.Now().Add(budget)
-		if err := s.admitDeadline(deadline, len(snap.Conns)); err != nil {
+		j.Deadline = j.created.Add(budget)
+		if err := s.admitDeadline(j.Deadline, len(j.snap.Conns)); err != nil {
 			s.obs.deadlineRefused.Inc()
 			return Status{}, err
 		}
 	}
+	out, err := s.transition(j, ev, nil, kv...)
+	if err != nil {
+		return Status{}, s.refused(err)
+	}
+	return out.status(), nil
+}
 
-	select {
-	case s.slots <- struct{}{}:
-	default:
+// refused maps an admitting edge's failure onto the admission errors.
+func (s *Server) refused(err error) error {
+	if errors.Is(err, ErrQueueFull) {
 		s.obs.rejectFull.Inc()
-		return Status{}, ErrQueueFull
+		return err
 	}
-
-	s.mu.Lock()
-	id := s.newID()
-	s.mu.Unlock()
-	now := time.Now()
-	j := &Job{ID: id, State: StateQueued, snap: snap, created: now, Deadline: deadline, enqueuedAt: now}
-	rec := *j
-
-	// Journal BEFORE publishing the job in s.jobs: the instant a queued
-	// job is visible there, Steal may flip it to handed_off and write its
-	// own record — publishing first would race two writers on the same
-	// journal file and let Steal release a slot the failed admission path
-	// would release again.
-	if err := s.saveJob(&rec); err != nil {
-		<-s.slots
-		s.obs.rejectJournal.Inc()
-		s.channelGauges()
-		return Status{}, fmt.Errorf("%w: journaling job: %v", ErrInternal, err)
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.mu.Unlock()
-	s.obs.submitted.Inc()
-	s.queue <- j
-	s.channelGauges()
-	s.log.Log("job_submitted", "job", id, "conns", len(snap.Conns))
-	return rec.status(), nil
+	s.obs.rejectJournal.Inc()
+	return fmt.Errorf("%w: journaling job: %v", ErrInternal, err)
 }
 
 // buildSnapshot turns a JobSpec into the zero-progress snapshot the job
@@ -541,7 +516,7 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 // Saturated reports whether every admission slot is held by a live job:
 // the next Submit would shed load with ErrQueueFull. A saturated node is
 // healthy — it is the fleet's steal-from candidate, not a drain-only one.
-func (s *Server) Saturated() bool { return len(s.slots) == cap(s.slots) }
+func (s *Server) Saturated() bool { l := s.Load(); return l.Live == l.Slots }
 
 // Fenced reports whether a journal write has been refused because the
 // epoch moved on — this node's jobs were handed to peers.
@@ -567,23 +542,8 @@ const (
 	HealthDiskDegraded = "disk_degraded"
 )
 
-// Health reports the daemon's current admission posture. Fenced and
-// draining outrank disk_degraded: a node that is leaving is leaving,
-// whatever its disk thinks.
-func (s *Server) Health() string {
-	switch {
-	case s.fenced.Load():
-		return HealthFenced
-	case s.draining.Load():
-		return HealthDraining
-	case s.diskDegraded.Load():
-		return HealthDiskDegraded
-	case s.Saturated():
-		return HealthSaturated
-	default:
-		return HealthReady
-	}
-}
+// Health reports the daemon's current admission posture, as Load does.
+func (s *Server) Health() string { return s.Load().Health }
 
 // Load is the occupancy report a fleet heartbeat carries: how much work
 // this node holds and whether it can take more.
@@ -591,11 +551,11 @@ type Load struct {
 	Node    string `json:"node,omitempty"` // filled in by the fleet agent
 	Epoch   uint64 `json:"epoch,omitempty"`
 	Health  string `json:"health"`
-	Live    int    `json:"live"`     // jobs holding admission slots
-	Queued  int    `json:"queued"`   // jobs waiting for a worker
-	Running int    `json:"running"`  // attempts executing right now
-	Slots   int    `json:"slots"`    // total admission capacity
-	Workers int    `json:"workers"`  // routing worker pool size
+	Live    int    `json:"live"`    // jobs holding admission slots
+	Queued  int    `json:"queued"`  // jobs waiting for a worker
+	Running int    `json:"running"` // attempts executing right now
+	Slots   int    `json:"slots"`   // total admission capacity
+	Workers int    `json:"workers"` // routing worker pool size
 	// Disk is "" while the journal disk is healthy and "degraded" once
 	// the disk posture latches — a dedicated field (not just Health)
 	// because Health is a priority collapse: a draining node's disk
@@ -613,14 +573,29 @@ type Load struct {
 
 // Load snapshots the node's occupancy for heartbeats and scheduling.
 func (s *Server) Load() Load {
+	s.mu.Lock()
 	l := Load{
 		Epoch:   s.epoch,
-		Health:  s.Health(),
-		Live:    len(s.slots),
-		Queued:  len(s.queue) + int(s.parkedN.Load()),
-		Running: int(s.runningN.Load()),
-		Slots:   cap(s.slots),
+		Live:    s.live,
+		Queued:  len(s.queue) + s.parkedN,
+		Running: int(s.obs.running.Value()),
+		Slots:   s.capacity,
 		Workers: s.cfg.Workers,
+	}
+	s.mu.Unlock()
+	// Fenced and draining outrank disk_degraded: a node that is leaving
+	// is leaving, whatever its disk thinks.
+	switch {
+	case s.fenced.Load():
+		l.Health = HealthFenced
+	case s.draining.Load():
+		l.Health = HealthDraining
+	case s.diskDegraded.Load():
+		l.Health = HealthDiskDegraded
+	case l.Live == l.Slots:
+		l.Health = HealthSaturated
+	default:
+		l.Health = HealthReady
 	}
 	if s.diskDegraded.Load() {
 		l.Disk = "degraded"
@@ -634,74 +609,26 @@ func (s *Server) Load() Load {
 	return l
 }
 
-// Steal relinquishes one waiting job to the fleet: the newest queued
-// (or disk-parked — work this node cannot run until its disk heals)
-// job flips to handed_off (journaled), its admission slot is released,
-// and a detached copy of its record — checkpoint included — is
-// returned for delivery to a peer. Returns nil when nothing is
-// stealable (only running, retrying or terminal jobs here). The stale
-// queue-channel entry is skipped by the worker that eventually
-// receives it.
+// Steal relinquishes the newest waiting job — queued, or parked on a
+// disk this node cannot write — to the fleet along the steal edge, and
+// returns a detached copy of its record, checkpoint included, for
+// delivery to a peer. Returns nil when nothing is stealable.
 func (s *Server) Steal() (*Job, error) {
-	s.mu.Lock()
-	var victim *Job
-	stealable := func(j *Job) bool {
-		return j.State == StateQueued || (j.parked && j.State == StateInterrupted)
-	}
-	for _, j := range s.jobs {
-		if !stealable(j) {
-			continue
+	for {
+		waiting := s.leaving(evSteal)
+		if len(waiting) == 0 {
+			return nil, nil
 		}
-		if victim == nil || j.ID > victim.ID {
-			victim = j // LIFO: steal the freshest work, classic work-stealing order
+		victim := waiting[len(waiting)-1] // LIFO: steal the freshest work, classic work-stealing order
+		rec, err := s.transition(victim, evSteal, nil)
+		if errors.Is(err, errMoved) {
+			continue // the victim started or left before the latch; pick again
 		}
-	}
-	if victim == nil {
-		s.mu.Unlock()
-		return nil, nil
-	}
-	prevState, prevParked := victim.State, victim.parked
-	victim.State = StateHandedOff
-	victim.parked = false
-	rec := *victim
-	s.mu.Unlock()
-
-	if err := s.saveJob(&rec); err != nil {
-		if errors.Is(err, ErrFenced) || !s.diskDegraded.Load() {
-			// Could not journal the handoff — the job stays ours, in the
-			// state it was waiting in (a parked victim must go back to
-			// parked: there is no queue-channel entry to run it from).
-			s.mu.Lock()
-			if victim.State == StateHandedOff {
-				victim.State = prevState
-				victim.parked = prevParked
-			}
-			s.mu.Unlock()
-			return nil, fmt.Errorf("journaling steal of %s: %w", rec.ID, err)
+		if err != nil {
+			return nil, fmt.Errorf("journaling steal of %s: %w", victim.ID, err)
 		}
-		// Disk-degraded donor: the handoff record cannot be written, but
-		// reverting would trap the job on a node that cannot run it —
-		// moving queued work OFF a degraded disk is the whole point of
-		// the coordinator stealing here. Hand it off anyway and re-write
-		// the record when the disk heals. The residual hazard is narrow:
-		// a crash+restart before healing re-runs the job from its last
-		// durable record, duplicating deterministic work on this node —
-		// never producing a different result.
-		s.mu.Lock()
-		victim.unjournaled = true
-		s.mu.Unlock()
-		s.cfg.Logf("grrd: handing off %s without a journal record (disk degraded): %v", rec.ID, err)
-		s.log.Log("job_stolen_unjournaled", "job", rec.ID, "err", err.Error())
+		return &rec, nil
 	}
-	if prevParked {
-		s.parkedN.Add(-1)
-	}
-	<-s.slots
-	s.channelGauges()
-	s.obs.stolen.Inc()
-	s.log.Log("job_stolen", "job", rec.ID, "attempt", rec.Attempt,
-		"routed", rec.snap.Check.Metrics.Routed)
-	return &rec, nil
 }
 
 // Adopt admits a job handed over by the fleet — a steal from a loaded
@@ -711,91 +638,35 @@ func (s *Server) Steal() (*Job, error) {
 // re-adopted only from handed_off (a hand-back after a failed onward
 // delivery); any other state is ErrDuplicate.
 func (s *Server) Adopt(rec *Job) (Status, error) {
-	if s.draining.Load() {
-		s.obs.rejectDrain.Inc()
-		return Status{}, ErrDraining
-	}
-	if s.fenced.Load() {
-		return Status{}, ErrFenced
-	}
-	if s.diskDegraded.Load() {
-		s.obs.rejectDisk.Inc()
-		return Status{}, ErrDiskDegraded
+	if err := s.admissionClosed(); err != nil {
+		return Status{}, err
 	}
 	if rec.ID == "" || rec.snap == nil {
 		return Status{}, fmt.Errorf("server: adopt: record missing id or snapshot")
 	}
-
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.obs.rejectFull.Inc()
-		return Status{}, ErrQueueFull
-	}
-
-	s.mu.Lock()
-	j, exists := s.jobs[rec.ID]
-	if exists && j.State != StateHandedOff {
-		state := j.State
-		s.mu.Unlock()
-		<-s.slots
-		return Status{}, fmt.Errorf("%w: %s is %s here", ErrDuplicate, rec.ID, state)
-	}
-	if s.adopting[rec.ID] {
-		s.mu.Unlock()
-		<-s.slots
-		return Status{}, fmt.Errorf("%w: %s adoption already in flight", ErrDuplicate, rec.ID)
-	}
-	s.adopting[rec.ID] = true
-	if !exists {
-		j = &Job{ID: rec.ID}
-		s.jobs[rec.ID] = j
-	}
-	// The job stays in handed_off — in transfer, not stealable, skipped
-	// by workers — until its adopted record is durable; flipping to
-	// queued first would let Steal race this write on the same file.
-	j.State = StateHandedOff
-	j.Attempt = rec.Attempt
-	j.Err = rec.Err
-	j.Aborted = rec.Aborted
-	j.snap = rec.snap
-	j.created = time.Now()
-	j.enqueuedAt = j.created
-	// The deadline and hedge token travel with the record: the budget is
-	// end-to-end and a hedge copy must claim its commit wherever it runs.
-	j.Deadline = rec.Deadline
-	j.HedgeToken = rec.HedgeToken
-	j.claimRequired = rec.HedgeToken != 0
-	j.superseded = false
-	j.committing = false
-	if n := jobSeq(rec.ID); n >= s.seq {
-		s.seq = n + 1 // insurance against ID reuse if names ever collide
-	}
-	out := *j
-	out.State = StateQueued
-	s.mu.Unlock()
-
-	if err := s.saveJob(&out); err != nil {
-		s.mu.Lock()
-		delete(s.adopting, rec.ID)
-		if !exists {
-			delete(s.jobs, rec.ID)
+	for {
+		j, state := s.adoptee(rec.ID)
+		if state != StateHandedOff {
+			return Status{}, fmt.Errorf("%w: %s is %s here", ErrDuplicate, rec.ID, state)
 		}
-		s.mu.Unlock()
-		<-s.slots
-		s.channelGauges()
-		return Status{}, fmt.Errorf("%w: journaling adopted job: %v", ErrInternal, err)
+		now := time.Now()
+		out, err := s.transition(j, evAdopt, func(j *Job) {
+			j.Attempt, j.Err, j.Aborted, j.snap = rec.Attempt, rec.Err, rec.Aborted, rec.snap
+			// The deadline and hedge token travel with the record: the budget
+			// is end-to-end and a hedge copy must claim its commit wherever
+			// it runs.
+			j.Deadline, j.HedgeToken, j.claimRequired = rec.Deadline, rec.HedgeToken, rec.HedgeToken != 0
+			j.marks &^= markSuperseded
+			j.committing, j.created = false, now
+		})
+		if errors.Is(err, errMoved) {
+			continue // a concurrent handoff of this ID settled first; look again
+		}
+		if err != nil {
+			return Status{}, s.refused(err)
+		}
+		return out.status(), nil
 	}
-	s.mu.Lock()
-	delete(s.adopting, rec.ID)
-	j.State = StateQueued
-	s.mu.Unlock()
-	s.obs.adopted.Inc()
-	s.queue <- j
-	s.channelGauges()
-	s.log.Log("job_adopted", "job", out.ID, "attempt", out.Attempt,
-		"routed", out.snap.Check.Metrics.Routed)
-	return out.status(), nil
 }
 
 // Drain shuts the daemon down gracefully: admission stops (Ready flips
@@ -812,33 +683,18 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.log.Log("drain_begin")
 
-	// Disarm pending retries: a timer we stop before it fires will never
-	// enqueue, so its job parks as interrupted.
-	s.mu.Lock()
-	var park []*Job
-	for _, j := range s.jobs {
-		if j.State == StateRetrying && j.stopRetry != nil && j.stopRetry() {
-			j.stopRetry = nil
-			j.State = StateInterrupted
-			park = append(park, j)
-		}
-	}
-	recs := make([]Job, len(park))
-	for i, j := range park {
-		recs[i] = *j
-	}
-	s.mu.Unlock()
-	for i := range recs {
-		if err := s.saveJob(&recs[i]); err != nil {
-			s.cfg.Logf("grrd: journaling parked %s: %v", recs[i].ID, err)
-		}
-		s.obs.interrupted.Inc()
-		s.log.Log("job_interrupted", "job", recs[i].ID, "parked", true)
+	// Park pending retries as interrupted (the edge disarms their
+	// timers); a restarted daemon retries them.
+	for _, j := range s.leaving(evDrainPark) {
+		s.transition(j, evDrainPark, nil, "parked", true)
 	}
 
 	// Cancel the run context: workers stop picking up jobs, and running
 	// routers abort at their next connection boundary.
 	s.drainCancel()
+	s.mu.Lock()
+	s.work.Broadcast()
+	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
@@ -854,21 +710,8 @@ func (s *Server) Drain(ctx context.Context) error {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		// Bias shutdown over work: a ready drainCtx always wins, even if
-		// the queue is also ready.
-		select {
-		case <-s.drainCtx.Done():
-			return
-		default:
-		}
-		select {
-		case <-s.drainCtx.Done():
-			return
-		case j := <-s.queue:
-			s.channelGauges()
-			s.runJob(j)
-		}
+	for j := s.dequeue(); j != nil; j = s.dequeue() {
+		s.runJob(j)
 	}
 }
 
@@ -876,54 +719,36 @@ func (s *Server) worker() {
 // interrupted (drain), retry, or failed.
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
-	if j.State != StateQueued {
-		// The queue entry went stale: the job was stolen by a peer (or
-		// otherwise resolved) between enqueue and pickup. Its slot was
-		// released by whoever changed the state; nothing to do here.
-		s.mu.Unlock()
-		return
-	}
-	j.State = StateRunning
-	j.Attempt++
-	j.stopRetry = nil
-	j.committing = false // a fresh attempt begins; no terminal commit in flight
-	attempt := j.Attempt
-	var waited time.Duration
-	if !j.enqueuedAt.IsZero() {
-		waited = time.Since(j.enqueuedAt)
-	}
-	rec := *j
+	attempt := j.Attempt + 1
 	s.mu.Unlock()
-	s.obs.attempts.Inc()
-	s.obs.running.Add(1)
-	s.runningN.Add(1)
-	defer func() {
-		s.obs.running.Add(-1)
-		s.runningN.Add(-1)
-	}()
-	if waited > 0 {
-		s.queueWait.Observe(waited.Seconds() * 1000)
-		s.obs.queueWaitSeconds.Observe(waited.Seconds())
+	run, err := s.transition(j, evStart, func(j *Job) {
+		j.Attempt = attempt
+		j.committing = false // a fresh attempt begins; no terminal commit in flight
+	})
+	if errors.Is(err, errMoved) {
+		return // stolen or superseded between dequeue and start
 	}
-	s.log.Log("job_running", "job", j.ID, "attempt", attempt)
-	if !rec.Deadline.IsZero() && time.Now().After(rec.Deadline) {
+	waited := time.Since(run.enqueuedAt)
+	s.queueWait.Observe(waited.Seconds() * 1000)
+	s.obs.queueWaitSeconds.Observe(waited.Seconds())
+	switch {
+	case !run.Deadline.IsZero() && time.Now().After(run.Deadline):
 		// The deadline expired while the job sat queued: fail fast
 		// instead of burning a worker on an answer nobody is waiting for.
 		s.obs.deadlineExceeded.Inc()
-		s.settle(j, attempt, outcome{permanent: fmt.Errorf(
+		s.settle(j, run.Attempt, outcome{permanent: fmt.Errorf(
 			"deadline exceeded %v before attempt %d started",
-			time.Since(rec.Deadline).Round(time.Millisecond), attempt)})
+			time.Since(run.Deadline).Round(time.Millisecond), run.Attempt)})
 		return
-	}
-	if err := s.saveJob(&rec); err != nil {
+	case err != nil:
 		// Can't record that the job is running — journal trouble. Treat
 		// like any transient fault.
-		s.settle(j, attempt, outcome{transient: err, cause: causeJournal})
+		s.settle(j, run.Attempt, outcome{transient: err, cause: causeJournal})
 		return
 	}
 
 	t0 := time.Now()
-	out := s.execute(j)
+	out := s.execute(j, run)
 	dur := time.Since(t0)
 	s.obs.attemptSeconds.Observe(dur.Seconds())
 	if out.res != nil && out.res.Metrics.Connections > 0 {
@@ -931,7 +756,7 @@ func (s *Server) runJob(j *Job) {
 		// seconds of routing per connection, smoothed.
 		s.connCost.Observe(dur.Seconds() / float64(out.res.Metrics.Connections))
 	}
-	s.settle(j, attempt, out)
+	s.settle(j, run.Attempt, out)
 }
 
 // outcome is the classified result of one execution attempt. Exactly
@@ -947,20 +772,21 @@ type outcome struct {
 	incAdopted  int
 	incRerouted int
 
-	interrupted *core.Result // drain abort; checkpoint already flushed
-	transient   error        // retryable failure
-	permanent   error        // non-retryable failure
+	interrupted bool  // cancelled; checkpoint already flushed
+	transient   error // retryable failure
+	permanent   error // non-retryable failure
 
 	// cause tags a transient failure for grr_jobs_retried_total (one of
 	// the cause* constants in metrics.go).
 	cause string
 }
 
-// execute runs one routing attempt with panic isolation. A panic —
-// from the router, an interposer, or injected faults — is contained to
-// this job and classified transient; a faultinject.Crash additionally
-// triggers the OnCrash hook (grrd: die like a real SIGKILL).
-func (s *Server) execute(j *Job) (out outcome) {
+// execute runs one routing attempt of j, as its start edge published
+// it, with panic isolation. A panic — from the router, an interposer,
+// or injected faults — is contained to this job and classified
+// transient; a faultinject.Crash additionally triggers the OnCrash hook
+// (grrd: die like a real SIGKILL).
+func (s *Server) execute(j *Job, started Job) (out outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			if c, ok := p.(faultinject.Crash); ok && s.cfg.OnCrash != nil {
@@ -970,11 +796,7 @@ func (s *Server) execute(j *Job) (out outcome) {
 		}
 	}()
 
-	s.mu.Lock()
-	snap := j.snap
-	deadline := j.Deadline
-	s.mu.Unlock()
-
+	snap, deadline := started.snap, started.Deadline
 	// Per-attempt context: the drain context, narrowed by the job's
 	// deadline when it has one, and cancellable by Supersede when a
 	// hedge peer's result wins the commit race. core.RouteContext merges
@@ -988,13 +810,8 @@ func (s *Server) execute(j *Job) (out outcome) {
 	}
 	defer cancel()
 	s.mu.Lock()
-	j.cancelRun = cancel
+	j.cancelRun = cancel // dropped when the job leaves running
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		j.cancelRun = nil
-		s.mu.Unlock()
-	}()
 
 	// Run from a shallow copy: the sink, cadence and registry are
 	// runtime-only and must not leak into the journaled snapshot.
@@ -1003,15 +820,11 @@ func (s *Server) execute(j *Job) (out outcome) {
 	run.Opts.CheckpointSink = func(cp *core.Checkpoint) error {
 		next := *snap
 		next.Check = cp
-		s.mu.Lock()
-		j.snap = &next
-		rec := *j
-		s.mu.Unlock()
-		// Through saveJob, not saveJobRecord directly: mid-run checkpoints
-		// are journal writes like any other — counted, and refused with
-		// ErrFenced once the epoch moves on, which is what stops a zombie
-		// from checkpointing over a job a peer now owns.
-		return s.saveJob(&rec)
+		// Mid-run checkpoints are journal writes like any other: counted,
+		// and refused with ErrFenced once the epoch moves on, which is what
+		// stops a zombie from checkpointing over a job a peer now owns.
+		_, err := s.transition(j, evCheckpoint, func(j *Job) { j.snap = &next })
+		return err
 	}
 
 	if !deadline.IsZero() {
@@ -1048,7 +861,7 @@ func (s *Server) execute(j *Job) (out outcome) {
 		}
 		return out
 	case core.AbortCancelled:
-		return outcome{interrupted: &res}
+		return outcome{interrupted: true}
 	case core.AbortTime:
 		// Within 10ms of the deadline the two time aborts are the same
 		// event (the clamp above set the budget from the deadline); report
@@ -1069,8 +882,7 @@ func (s *Server) execute(j *Job) (out outcome) {
 	}
 }
 
-// settle applies an attempt's outcome to the job and journals the
-// transition.
+// settle takes the edge an attempt's outcome calls for.
 func (s *Server) settle(j *Job, attempt int, out outcome) {
 	switch {
 	case out.res != nil:
@@ -1080,55 +892,29 @@ func (s *Server) settle(j *Job, attempt int, out outcome) {
 			s.retryOrFail(j, attempt, fmt.Errorf("final audit: %w", out.auditErr), causeAudit)
 			return
 		}
-		// Hedge commit gate (DESIGN §14): a job carrying a hedge token
-		// must win the coordinator's first-durable-result claim before
-		// its done record may be journaled. Losing means a peer's copy
-		// already committed — this copy steps aside as handed_off.
-		win, err := s.claimTerminal(j)
-		if err != nil {
-			s.retryOrFail(j, attempt, fmt.Errorf("hedge commit claim: %w", err), causeHedge)
-			return
-		}
-		if !win {
-			s.supersedeFromRun(j, "lost the hedge commit race")
-			return
-		}
-		m := out.res.Metrics
-		s.mu.Lock()
 		// Fold the final metrics into the snapshot so the journal record
 		// carries them; the routes stay at the last checkpoint, which is
 		// all a terminal record needs.
-		next := *j.snap
-		next.Check = checkpointWithMetrics(next.Check, m)
-		j.snap = &next
-		rec := *j
-		s.mu.Unlock()
-		rec.State = StateDone
-		rec.Err = ""
-		rec.Aborted = ""
-		rec.Fingerprint = out.fingerprint
-		rec.AuditOK = true
-		rec.Metrics = &m
-		// Journal the terminal record, then free capacity, then publish:
-		// anyone who observes the job as done can rely on the journal
-		// carrying its result and on its slot being available again.
-		if err := s.saveJob(&rec); err != nil {
-			s.cfg.Logf("grrd: journaling %s done: %v", j.ID, err)
-		}
-		<-s.slots
-		s.channelGauges()
+		m := out.res.Metrics
 		s.mu.Lock()
-		j.State = rec.State
-		j.Err = rec.Err
-		j.Aborted = rec.Aborted
-		j.Fingerprint = rec.Fingerprint
-		j.AuditOK = rec.AuditOK
-		j.Metrics = rec.Metrics
-		j.incAdopted, j.incRerouted = out.incAdopted, out.incRerouted
-		created := j.created
+		final := *j.snap
 		s.mu.Unlock()
-		s.obs.done.Inc()
-		s.observeJobDone(created)
+		check := *final.Check
+		check.Metrics = m
+		final.Check = &check
+		_, err := s.transition(j, evDone, func(j *Job) {
+			j.snap = &final
+			j.Err, j.Aborted = "", ""
+			j.Fingerprint, j.AuditOK, j.Metrics = out.fingerprint, true, &m
+			j.incAdopted, j.incRerouted = out.incAdopted, out.incRerouted
+		}, "conns", m.Connections, "fingerprint", fmt.Sprintf("%016x", out.fingerprint))
+		switch {
+		case errors.Is(err, errUnclaimed):
+			s.retryOrFail(j, attempt, err, causeHedge)
+			return
+		case errors.Is(err, errMoved):
+			return // lost the hedge commit race and stepped aside
+		}
 		if out.retain != nil {
 			// The run recorded regions: keep its router so POST
 			// /jobs/{id}/edit can re-route edits incrementally.
@@ -1138,68 +924,36 @@ func (s *Server) settle(j *Job, attempt int, out outcome) {
 			s.log.Log("job_incremental", "job", j.ID,
 				"adopted", out.incAdopted, "rerouted", out.incRerouted)
 		}
-		s.cfg.Logf("grrd: %s done: %v", j.ID, out.res)
-		s.log.Log("job_done", "job", j.ID, "attempt", attempt,
-			"routed", m.Routed, "conns", m.Connections,
-			"fingerprint", fmt.Sprintf("%016x", rec.Fingerprint))
 
-	case out.interrupted != nil:
-		s.mu.Lock()
-		superseded := j.superseded
-		s.mu.Unlock()
-		if superseded {
-			// Not a drain: the coordinator cancelled this copy because a
-			// hedge peer's result won. Step aside — the winner's journal
-			// is the authoritative record.
-			s.supersedeFromRun(j, "cancelled: a hedge peer's result won")
-			return
+	case out.interrupted:
+		// A copy the coordinator cancelled because a hedge peer's result
+		// won steps aside: the winner's journal is the authoritative
+		// record. Any other cancel is a drain, and the job keeps its slot.
+		_, err := s.transition(j, evSupersede, superseding, "reason", "cancelled: a hedge peer's result won")
+		if errors.Is(err, errMoved) {
+			s.transition(j, evInterrupt, func(j *Job) { j.Aborted = core.AbortCancelled.String() })
 		}
-		s.mu.Lock()
-		j.State = StateInterrupted
-		j.Aborted = core.AbortCancelled.String()
-		rec := *j
-		s.mu.Unlock()
-		if err := s.saveJob(&rec); err != nil {
-			s.cfg.Logf("grrd: journaling %s interrupted: %v", j.ID, err)
-		}
-		s.obs.interrupted.Inc()
-		s.cfg.Logf("grrd: %s interrupted by drain (%d/%d routed)",
-			j.ID, out.interrupted.Metrics.Routed, out.interrupted.Metrics.Connections)
-		s.log.Log("job_interrupted", "job", j.ID,
-			"routed", out.interrupted.Metrics.Routed, "conns", out.interrupted.Metrics.Connections)
-		// The slot is deliberately not released: the job is still live,
-		// and the daemon is draining — nothing else will want it.
 
 	case out.transient != nil:
-		if errors.Is(out.transient, ErrFenced) {
+		switch {
+		case errors.Is(out.transient, ErrFenced):
 			// Fenced mid-run (the checkpoint sink was refused): the job now
 			// runs on a peer. Fail it locally without retry — every further
 			// journal write would be refused too.
 			s.fail(j, out.transient)
-			return
+		case isDiskError(out.transient):
+			// The disk refused a journal or checkpoint write (which latched
+			// the degraded posture). Retrying into the same wall would burn
+			// the job's attempts on the machine's fault: park it, slot kept
+			// and attempts untouched, until the self-probe sees the disk heal.
+			s.transition(j, evDiskPark, func(j *Job) { j.Err = out.transient.Error() },
+				"err", out.transient.Error())
+		default:
+			s.retryOrFail(j, attempt, out.transient, out.cause)
 		}
-		if isDiskError(out.transient) {
-			// The attempt died because the disk refused a journal or
-			// checkpoint write (the failing saveJob already latched the
-			// degraded posture). Retrying into the same wall would burn the
-			// job's attempts on the machine's fault: park it until the
-			// self-probe sees the disk heal.
-			s.parkOnDisk(j, out.transient)
-			return
-		}
-		s.retryOrFail(j, attempt, out.transient, out.cause)
 
 	default:
 		s.fail(j, out.permanent)
-	}
-}
-
-// observeJobDone records end-to-end job latency (admission to terminal
-// state). Jobs recovered from a journal restart count from recovery
-// time — the daemon can only speak for its own lifetime.
-func (s *Server) observeJobDone(created time.Time) {
-	if !created.IsZero() {
-		s.obs.jobSeconds.Observe(time.Since(created).Seconds())
 	}
 }
 
@@ -1211,48 +965,32 @@ func (s *Server) retryOrFail(j *Job, attempt int, cause error, causeTag string) 
 		s.fail(j, fmt.Errorf("attempt %d/%d: %w", attempt, s.cfg.MaxAttempts, cause))
 		return
 	}
-
 	d := s.backoff(attempt)
-
-	// Journal the retrying state BEFORE arming the timer: a short backoff
-	// could otherwise fire requeue while this record is still being
-	// written, racing two atomic writes on the same journal file.
-	s.mu.Lock()
-	j.State = StateRetrying
-	j.Err = cause.Error()
-	rec := *j
-	s.mu.Unlock()
-	if err := s.saveJob(&rec); err != nil {
-		if errors.Is(err, ErrFenced) {
-			// No point scheduling a retry this node may never journal: the
-			// peer that adopted the job is the one retrying it now.
-			s.fail(j, fmt.Errorf("%w (while retrying: %v)", err, cause))
-			return
-		}
-		s.cfg.Logf("grrd: journaling retrying %s: %v", j.ID, err)
-	}
-
-	s.mu.Lock()
-	if s.draining.Load() {
-		// Drain won the race to this point; it saw no armed timer to
-		// stop, so park the job here.
-		j.State = StateInterrupted
-		rec := *j
-		s.mu.Unlock()
-		if err := s.saveJob(&rec); err != nil {
-			s.cfg.Logf("grrd: journaling parked %s: %v", j.ID, err)
-		}
-		s.obs.interrupted.Inc()
-		s.log.Log("job_interrupted", "job", j.ID, "parked", true)
+	_, err := s.transition(j, evRetry, func(j *Job) { j.Err = cause.Error() },
+		"cause", causeTag, "backoff", d.String(), "err", cause.Error())
+	switch {
+	case errors.Is(err, errMoved):
+		return
+	case errors.Is(err, ErrFenced):
+		// No point retrying what this node may never journal: the peer that
+		// adopted the job is the one retrying it now.
+		s.fail(j, fmt.Errorf("%w (while retrying: %v)", err, cause))
 		return
 	}
-	t := time.AfterFunc(d, func() { s.requeue(j) })
-	j.stopRetry = t.Stop
+	// Arm the requeue under the same lock hold that reads the drain flag:
+	// a drain either finds the armed timer (and its edge stops it) or is
+	// seen here. A job that already left retrying gets no timer.
+	s.mu.Lock()
+	draining := s.draining.Load()
+	if !draining && j.State == StateRetrying {
+		j.stopRetry = time.AfterFunc(d, func() { s.transition(j, evRequeue, nil) }).Stop
+	}
 	s.mu.Unlock()
+	if draining {
+		s.transition(j, evDrainPark, nil, "parked", true)
+		return
+	}
 	s.obs.retry(causeTag)
-	s.cfg.Logf("grrd: %s attempt %d failed (%v), retrying in %v", j.ID, attempt, cause, d)
-	s.log.Log("job_retrying", "job", j.ID, "attempt", attempt,
-		"cause", causeTag, "backoff", d.String(), "err", cause.Error())
 }
 
 // backoff computes the jittered delay before retry attempt+1:
@@ -1273,78 +1011,9 @@ func (s *Server) backoff(attempt int) time.Duration {
 	return time.Duration(half + jit)
 }
 
-// requeue moves a retrying job back onto the queue when its backoff
-// timer fires.
-func (s *Server) requeue(j *Job) {
-	s.mu.Lock()
-	if j.State != StateRetrying {
-		s.mu.Unlock()
-		return
-	}
-	rec := *j
-	rec.State = StateQueued
-	s.mu.Unlock()
-	// Journal the queued record while the job still reads as retrying:
-	// a job only becomes stealable once it IS queued, so the write can
-	// never race a Steal writing the same file.
-	if err := s.saveJob(&rec); err != nil {
-		s.cfg.Logf("grrd: journaling requeued %s: %v", j.ID, err)
-	}
-	s.mu.Lock()
-	if j.State != StateRetrying {
-		// A drain parked it while the record was being written.
-		s.mu.Unlock()
-		return
-	}
-	j.State = StateQueued
-	j.stopRetry = nil
-	j.enqueuedAt = time.Now()
-	s.mu.Unlock()
-	s.queue <- j
-	s.channelGauges()
-	s.log.Log("job_requeued", "job", j.ID, "attempt", rec.Attempt)
-}
-
-// fail marks j permanently failed: journal the terminal record, free
-// the slot, then publish, so anyone who observes the job as failed can
-// rely on the journal agreeing and on its capacity being available.
+// fail marks j permanently failed.
 func (s *Server) fail(j *Job, cause error) {
-	if win, err := s.claimTerminal(j); err != nil {
-		// The claim arbiter is unreachable from the giving-up path.
-		// Commit the failure locally anyway: a failed record can never
-		// violate done-in-exactly-one — only done commits race — and if a
-		// peer's copy later wins, its journal is authoritative (§14).
-		s.cfg.Logf("grrd: %s failing without a commit claim: %v", j.ID, err)
-	} else if !win {
-		s.supersedeFromRun(j, "lost the hedge commit race")
-		return
-	}
-	s.mu.Lock()
-	rec := *j
-	s.mu.Unlock()
-	rec.State = StateFailed
-	rec.Err = cause.Error()
-	if err := s.saveJob(&rec); err != nil {
-		s.cfg.Logf("grrd: journaling failed %s: %v", j.ID, err)
-	}
-	<-s.slots
-	s.channelGauges()
-	s.mu.Lock()
-	j.State = rec.State
-	j.Err = rec.Err
-	created := j.created
-	s.mu.Unlock()
-	s.obs.failed.Inc()
-	s.observeJobDone(created)
-	s.cfg.Logf("grrd: %s failed: %v", j.ID, cause)
-	s.log.Log("job_failed", "job", j.ID, "attempt", rec.Attempt, "err", cause.Error())
-}
-
-// checkpointWithMetrics returns cp with its metrics replaced.
-func checkpointWithMetrics(cp *core.Checkpoint, m core.Metrics) *core.Checkpoint {
-	next := *cp
-	next.Metrics = m
-	return &next
+	s.transition(j, evFail, func(j *Job) { j.Err = cause.Error() }, "err", cause.Error())
 }
 
 func ensureDir(dir string) error {
