@@ -13,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race soak-fleet soak-disk soak-slow bench microbench lint-metrics staticcheck vulncheck
+.PHONY: check vet build test race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
 
 check: vet build test lint-metrics staticcheck vulncheck
 
@@ -64,17 +64,9 @@ soak-disk:
 	$(GO) test -race -count=1 ./internal/server/ -run 'CrashEnum|Disk'
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetRoutesAroundDiskDegradedNode'
 
-# The Table 1 sweep under the classic and goal engines, written to
-# BENCH_<gitsha>.json — one comparable artifact per commit. BENCH_SCALE
-# > 1 shrinks the boards for quick runs; the engine comparison runs
-# either way: routed-metric parity per board and (at full scale) >= 20%
-# fewer expanded nodes for the goal engine. `make microbench` is the
-# old go-test microbenchmark pass.
-BENCH_SCALE ?= 1
-
-bench:
-	$(GO) run ./tools/benchjson -scale $(BENCH_SCALE) -out .
-
+# The go-test microbenchmarks of the root package, with allocations.
+# The repo's benchmark of record is perfbench (BENCHMARK.json); the
+# goal-engine gate runs in the test suite (TestTable1Shape).
 microbench:
 	$(GO) test -bench=. -benchmem .
 

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -234,7 +233,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 			fmt.Fprintf(&buf, "cvia %d %d\n", v.X, v.Y)
 		}
 	}
-	fmt.Fprintf(&buf, "checksum %016x\n", fnv64a(buf.Bytes()))
+	AppendChecksum(&buf)
 	_, err := w.Write(buf.Bytes())
 	return err
 }
@@ -251,9 +250,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if len(data) > maxSnapshotBytes {
 		return nil, fmt.Errorf("boardio: snapshot exceeds %d bytes", maxSnapshotBytes)
 	}
-	body, err := verifyChecksum(data)
+	body, err := VerifyChecksum(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("boardio: snapshot: %w", err)
 	}
 
 	s := &Snapshot{Check: &core.Checkpoint{}}
@@ -453,29 +452,39 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// verifyChecksum splits data into body and trailer, validating the
-// FNV-64a whole-body checksum.
-func verifyChecksum(data []byte) ([]byte, error) {
-	const tag = "checksum "
-	i := bytes.LastIndex(data, []byte("\n"+tag))
+// checksumTag opens the trailer line of a checksummed file.
+const checksumTag = "checksum "
+
+// AppendChecksum ends buf with the trailer line "checksum <16 hex
+// digits>": the FNV-64a hash of every byte already in buf. Snapshots
+// and grrd job records end with it; VerifyChecksum checks it.
+func AppendChecksum(buf *bytes.Buffer) {
+	fmt.Fprintf(buf, checksumTag+"%016x\n", fnv64a(buf.Bytes()))
+}
+
+// VerifyChecksum splits data into its body and the trailer that
+// AppendChecksum wrote, and returns the body if the trailer is present
+// and matches. Callers name the file kind when they wrap the error.
+func VerifyChecksum(data []byte) ([]byte, error) {
+	i := bytes.LastIndex(data, []byte("\n"+checksumTag))
 	if i < 0 {
-		if !bytes.HasPrefix(data, []byte(tag)) {
-			return nil, fmt.Errorf("boardio: snapshot has no checksum trailer (truncated?)")
+		if !bytes.HasPrefix(data, []byte(checksumTag)) {
+			return nil, errors.New("no checksum trailer (truncated?)")
 		}
 		i = -1 // degenerate: checksum is the first line, body is empty
 	}
 	body := data[:i+1]
 	trailer := strings.TrimSpace(string(data[i+1:]))
-	rest, ok := strings.CutPrefix(trailer, tag)
+	rest, ok := strings.CutPrefix(trailer, checksumTag)
 	if !ok {
-		return nil, fmt.Errorf("boardio: snapshot has no checksum trailer (truncated?)")
+		return nil, errors.New("no checksum trailer (truncated?)")
 	}
 	want, err := strconv.ParseUint(strings.TrimSpace(rest), 16, 64)
 	if err != nil {
-		return nil, fmt.Errorf("boardio: bad snapshot checksum %q", rest)
+		return nil, fmt.Errorf("bad checksum %q", rest)
 	}
 	if got := fnv64a(body); got != want {
-		return nil, fmt.Errorf("boardio: snapshot checksum mismatch: file says %016x, content hashes to %016x", want, got)
+		return nil, fmt.Errorf("checksum mismatch: file says %016x, content hashes to %016x", want, got)
 	}
 	return body, nil
 }
@@ -490,29 +499,6 @@ func atois(fields []string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// IOSeam interposes on the file I/O of AtomicWrite and LoadSnapshot.
-// When installed (SetIOSeam), WrapWriter wraps the temp-file writer of
-// every atomic write and WrapReader wraps the file reader of every load,
-// letting internal/faultinject fail the Nth read or write of a real
-// on-disk operation without any filesystem trickery. Either hook may be
-// nil to leave that direction untouched.
-type IOSeam struct {
-	WrapWriter func(io.Writer) io.Writer
-	WrapReader func(io.Reader) io.Reader
-}
-
-// ioSeam is the installed seam; nil means direct I/O. It is an atomic
-// pointer so fault-injection tests can flip it while snapshot writers
-// run on other goroutines.
-var ioSeam atomic.Pointer[IOSeam]
-
-// SetIOSeam installs s as the package's I/O seam (nil restores direct
-// I/O) and returns the previously installed seam so tests can restore
-// it.
-func SetIOSeam(s *IOSeam) *IOSeam {
-	return ioSeam.Swap(s)
 }
 
 // AtomicWrite writes a file crash-safely: write produces the bytes into
@@ -535,11 +521,7 @@ func AtomicWrite(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	var w io.Writer = f
-	if s := ioSeam.Load(); s != nil && s.WrapWriter != nil {
-		w = s.WrapWriter(f)
-	}
-	err = write(w)
+	err = write(f)
 	if err == nil {
 		// The rename only makes durable content visible: sync before it,
 		// or a crash between rename and writeback leaves a good name on
@@ -618,11 +600,7 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if s := ioSeam.Load(); s != nil && s.WrapReader != nil {
-		r = s.WrapReader(f)
-	}
-	s, err := ReadSnapshot(r)
+	s, err := ReadSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -3,15 +3,15 @@ package boardio
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"syscall"
 	"testing"
 
 	"repro/internal/board"
 	"repro/internal/core"
-	"repro/internal/faultinject"
+	"repro/internal/simfs"
 	"repro/internal/stringer"
 	"repro/internal/workload"
 )
@@ -32,9 +32,9 @@ func testSnapshot(t *testing.T) *Snapshot {
 }
 
 // TestSaveSnapshotInjectedWriteFailure drives the atomic-write failure
-// path through the I/O seam: a failing write must surface the injected
-// error, remove the temporary file, and leave the previous good snapshot
-// untouched.
+// path through the filesystem seam: a failing write must surface the
+// injected error, remove the temporary file, and leave the previous good
+// snapshot untouched.
 func TestSaveSnapshotInjectedWriteFailure(t *testing.T) {
 	snap := testSnapshot(t)
 	path := filepath.Join(t.TempDir(), "run.snap")
@@ -47,13 +47,13 @@ func TestSaveSnapshotInjectedWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prev := SetIOSeam(&IOSeam{
-		WrapWriter: func(w io.Writer) io.Writer { return faultinject.FailWrites(w, 1) },
-	})
-	defer SetIOSeam(prev)
+	inj := simfs.NewInjectFS(nil)
+	prev := simfs.Swap(inj)
+	defer simfs.Swap(prev)
+	inj.Arm(&simfs.Rule{Op: simfs.OpWrite, Path: "run.snap.tmp", Err: syscall.EIO})
 
-	if err := SaveSnapshot(path, snap); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("save with failing writer: err = %v, want ErrInjected", err)
+	if err := SaveSnapshot(path, snap); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("save with failing writer: err = %v, want the injected EIO", err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Error("failed save left its temporary file behind")
@@ -66,8 +66,8 @@ func TestSaveSnapshotInjectedWriteFailure(t *testing.T) {
 		t.Error("failed save clobbered the previous good snapshot")
 	}
 
-	// With the seam restored, saving and loading work again.
-	SetIOSeam(prev)
+	// With the disk healed, saving and loading work again.
+	inj.Disarm()
 	if err := SaveSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSaveSnapshotInjectedWriteFailure(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotInjectedReadFailure exercises the reader side of the
+// TestLoadSnapshotInjectedReadFailure exercises the read side of the
 // seam: a failing read surfaces as a load error naming the path.
 func TestLoadSnapshotInjectedReadFailure(t *testing.T) {
 	snap := testSnapshot(t)
@@ -85,13 +85,13 @@ func TestLoadSnapshotInjectedReadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prev := SetIOSeam(&IOSeam{
-		WrapReader: func(r io.Reader) io.Reader { return faultinject.FailReads(r, 1) },
-	})
-	defer SetIOSeam(prev)
+	inj := simfs.NewInjectFS(nil)
+	prev := simfs.Swap(inj)
+	defer simfs.Swap(prev)
+	inj.Arm(&simfs.Rule{Op: simfs.OpRead, Path: "run.snap", Err: syscall.EIO})
 
-	if _, err := LoadSnapshot(path); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("load with failing reader: err = %v, want ErrInjected", err)
+	if _, err := LoadSnapshot(path); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("load with failing reader: err = %v, want the injected EIO", err)
 	}
 }
 
@@ -119,11 +119,11 @@ func TestSnapshotTruncatedTrailer(t *testing.T) {
 		name string
 		at   int
 	}{
-		{"before-trailer", trailerStart},                  // last section complete, trailer absent
-		{"mid-keyword", trailerStart + len("check")},      // inside the tag
-		{"after-tag", trailerStart + len("checksum ")},    // tag complete, no digits
+		{"before-trailer", trailerStart},                    // last section complete, trailer absent
+		{"mid-keyword", trailerStart + len("check")},        // inside the tag
+		{"after-tag", trailerStart + len("checksum ")},      // tag complete, no digits
 		{"mid-digits", trailerStart + len("checksum ") + 7}, // half the hash
-		{"last-digit-lost", len(data) - 2},                // hash one hex digit short
+		{"last-digit-lost", len(data) - 2},                  // hash one hex digit short
 	}
 	for _, c := range cuts {
 		t.Run(c.name, func(t *testing.T) {

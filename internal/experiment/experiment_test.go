@@ -1,6 +1,10 @@
 package experiment
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,8 +80,10 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable1Shape runs the full-size Table 1 and asserts the paper's
-// qualitative results (~15 s; skipped with -short):
+// TestTable1Shape routes every full-size Table 1 board once per engine
+// (skipped with -short). On a 2-vCPU host the classic sweep takes about
+// 13 s and the goal sweep about 12 s. Every routed board must pass its
+// audit. The classic rows must show the paper's qualitative results:
 //
 //   - the 2-layer kdj11 fails around the paper's 80% completion and the
 //     same board completes on 4 layers;
@@ -86,13 +92,38 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 //     below 1 on the easy half (paper: 0.40–0.99);
 //   - %lee decreases from the hardest completed board to the easiest
 //     band (the paper's "denser boards have higher %lee").
+//
+// Each classic board fingerprint must equal the one BENCH_ca3981a.json
+// records: classic output is bit-identical across revisions. The goal
+// sweep must pass engineGate against the classic one. A race-detector
+// build skips the goal sweep (raceEnabled).
 func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-size Table 1 (~15s); run without -short")
+		t.Skip("full-size Table 1 under both engines (~25s); run without -short")
 	}
-	rows, err := Table1(1, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	baseline := baselineFingerprints(t)
+	var rows []stats.Row
+	var gate []engineRow
+	for _, spec := range workload.Table1Specs() {
+		classic := routeAudited(t, spec, core.EngineClassic)
+		rows = append(rows, classic.Row())
+		if got, want := fmt.Sprintf("%016x", classic.Board.Fingerprint()), baseline[spec.Name]; got != want {
+			t.Errorf("%s: classic fingerprint %s, BENCH_ca3981a.json records %s", spec.Name, got, want)
+		}
+		if raceEnabled {
+			continue
+		}
+		goal := routeAudited(t, spec, core.EngineGoal)
+		cm, gm := classic.Result.Metrics, goal.Result.Metrics
+		gate = append(gate, engineRow{
+			Board: spec.Name, Conns: cm.Connections,
+			ClassicRouted: cm.Routed, GoalRouted: gm.Routed,
+			ClassicExpanded: cm.LeeExpansions, GoalExpanded: gm.LeeExpansions,
+		})
+		t.Logf("%-8s expansions: classic %7d, goal %7d", spec.Name, cm.LeeExpansions, gm.LeeExpansions)
+	}
+	if err := engineGate(gate); err != nil {
+		t.Error(err)
 	}
 	byName := map[string]stats.Row{}
 	for _, r := range rows {
@@ -129,4 +160,41 @@ func TestTable1Shape(t *testing.T) {
 			byName["nmc-4L"].LeePct, byName["tna"].LeePct)
 	}
 	t.Logf("\n%s", stats.FormatTable(rows))
+}
+
+// routeAudited routes spec under engine with otherwise default options
+// and fails the test unless the routed board passes its audit.
+func routeAudited(t *testing.T, spec workload.Spec, engine core.Engine) *Run {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Engine = engine
+	run, err := RouteSpec(spec, opts)
+	if err != nil {
+		t.Fatalf("%s (%s engine): %v", spec.Name, engine, err)
+	}
+	if err := run.Board.Audit(); err != nil {
+		t.Fatalf("%s (%s engine) audit: %v", spec.Name, engine, err)
+	}
+	return run
+}
+
+// baselineFingerprints reads the classic-engine board fingerprint of
+// every full-size Table 1 board from the committed BENCH_ca3981a.json.
+func baselineFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_ca3981a.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Boards []struct{ Board, Fingerprint string }
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	fps := map[string]string{}
+	for _, b := range doc.Boards {
+		fps[b.Board] = b.Fingerprint
+	}
+	return fps
 }

@@ -1,61 +1,11 @@
 package faultinject
 
 import (
-	"bytes"
-	"errors"
-	"io"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/layer"
 )
-
-func TestFailWritesStickyFromNth(t *testing.T) {
-	var buf bytes.Buffer
-	f := FailWrites(&buf, 3)
-
-	for i := 1; i <= 2; i++ {
-		if _, err := f.Write([]byte("ok")); err != nil {
-			t.Fatalf("write %d failed early: %v", i, err)
-		}
-	}
-	for i := 3; i <= 5; i++ {
-		if _, err := f.Write([]byte("no")); !errors.Is(err, ErrInjected) {
-			t.Fatalf("write %d error = %v, want ErrInjected", i, err)
-		}
-	}
-	if got := buf.String(); got != "okok" {
-		t.Errorf("underlying writer saw %q, want %q", got, "okok")
-	}
-	if _, writes := f.Calls(); writes != 5 {
-		t.Errorf("writes = %d, want 5", writes)
-	}
-}
-
-func TestFailReadsStickyFromNth(t *testing.T) {
-	f := FailReads(strings.NewReader("abcdef"), 2)
-	p := make([]byte, 3)
-
-	n, err := f.Read(p)
-	if err != nil || n != 3 {
-		t.Fatalf("first read = (%d, %v), want (3, nil)", n, err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := f.Read(p); !errors.Is(err, ErrInjected) {
-			t.Fatalf("read after schedule fired: err = %v, want ErrInjected", err)
-		}
-	}
-}
-
-func TestFailZeroNeverFails(t *testing.T) {
-	f := FailWrites(io.Discard, 0)
-	for i := 0; i < 10; i++ {
-		if _, err := f.Write([]byte("x")); err != nil {
-			t.Fatalf("n=0 write %d failed: %v", i, err)
-		}
-	}
-}
 
 // TestBlockerHoldsNthCall drives a blocker directly: the second
 // AddSegment attempt must not return until Release, and the call is

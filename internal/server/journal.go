@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,49 +45,35 @@ const journalExt = ".job"
 
 func journalPath(dir, id string) string { return filepath.Join(dir, id+journalExt) }
 
-// fnv64a matches the snapshot codec's whole-file hash.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
 // writeJobRecord serializes j. The caller must guarantee the fields it
 // reads are stable: either it holds the server mutex, or it passed a
 // private copy.
 func writeJobRecord(w io.Writer, j *Job) error {
-	var sb strings.Builder
-	fmt.Fprintln(&sb, "grrdjob v1")
-	fmt.Fprintf(&sb, "id %s\n", j.ID)
-	fmt.Fprintf(&sb, "state %s\n", j.State)
-	fmt.Fprintf(&sb, "attempt %d\n", j.Attempt)
-	fmt.Fprintf(&sb, "error %s\n", strconv.Quote(j.Err))
-	fmt.Fprintf(&sb, "aborted %s\n", strconv.Quote(j.Aborted))
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "grrdjob v1")
+	fmt.Fprintf(&buf, "id %s\n", j.ID)
+	fmt.Fprintf(&buf, "state %s\n", j.State)
+	fmt.Fprintf(&buf, "attempt %d\n", j.Attempt)
+	fmt.Fprintf(&buf, "error %s\n", strconv.Quote(j.Err))
+	fmt.Fprintf(&buf, "aborted %s\n", strconv.Quote(j.Aborted))
 	// Deadline and token lines are emitted only when set: a job with
 	// neither writes the exact bytes the pre-hedging format wrote.
 	if !j.Deadline.IsZero() {
-		fmt.Fprintf(&sb, "deadline %d\n", j.Deadline.UnixNano())
+		fmt.Fprintf(&buf, "deadline %d\n", j.Deadline.UnixNano())
 	}
 	if j.HedgeToken != 0 {
-		fmt.Fprintf(&sb, "token %d\n", j.HedgeToken)
+		fmt.Fprintf(&buf, "token %d\n", j.HedgeToken)
 	}
 	if j.State == StateDone {
-		fmt.Fprintf(&sb, "result %016x %d\n", j.Fingerprint, boolDigit(j.AuditOK))
+		fmt.Fprintf(&buf, "result %016x %d\n", j.Fingerprint, boolDigit(j.AuditOK))
 	}
-	fmt.Fprintln(&sb, "snapshot begin")
-	if err := boardio.WriteSnapshot(&sb, j.snap); err != nil {
+	fmt.Fprintln(&buf, "snapshot begin")
+	if err := boardio.WriteSnapshot(&buf, j.snap); err != nil {
 		return err
 	}
-	fmt.Fprintln(&sb, "snapshot end")
-	fmt.Fprintf(&sb, "checksum %016x\n", fnv64a([]byte(sb.String())))
-	_, err := io.WriteString(w, sb.String())
+	fmt.Fprintln(&buf, "snapshot end")
+	boardio.AppendChecksum(&buf)
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 
@@ -104,23 +91,12 @@ func readJobRecord(r io.Reader) (*Job, error) {
 		return nil, err
 	}
 
-	// Split off and verify the whole-file checksum trailer.
-	const tag = "checksum "
-	i := strings.LastIndex(string(data), "\n"+tag)
-	if i < 0 {
-		return nil, fmt.Errorf("server: job record has no checksum trailer (truncated?)")
-	}
-	body := string(data[:i+1])
-	trailer := strings.TrimSpace(string(data[i+1+len(tag):]))
-	want, err := strconv.ParseUint(trailer, 16, 64)
+	body, err := boardio.VerifyChecksum(data)
 	if err != nil {
-		return nil, fmt.Errorf("server: bad job record checksum %q", trailer)
-	}
-	if got := fnv64a([]byte(body)); got != want {
-		return nil, fmt.Errorf("server: job record checksum mismatch: file says %016x, content hashes to %016x", want, got)
+		return nil, fmt.Errorf("server: job record: %w", err)
 	}
 
-	lines := strings.Split(body, "\n")
+	lines := strings.Split(string(body), "\n")
 	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "grrdjob v1" {
 		return nil, fmt.Errorf("server: job record: want header \"grrdjob v1\"")
 	}
@@ -221,7 +197,7 @@ func readJobRecord(r io.Reader) (*Job, error) {
 }
 
 // saveJobRecord writes j's record crash-safely. It goes through
-// boardio.AtomicWrite, so the fault-injection I/O seam applies: a
+// boardio.AtomicWrite, so the simfs filesystem seam applies: a
 // checkpoint sink that cannot persist surfaces an error here, aborts
 // the run with AbortCheckpoint, and lands on the retry path.
 func saveJobRecord(dir string, j *Job) error {

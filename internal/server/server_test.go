@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/boardio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/simfs"
 	"repro/internal/workload"
 )
 
@@ -389,19 +391,14 @@ func TestRetryOnCheckpointWriteFailure(t *testing.T) {
 	spec := testSpec(t, 6, map[string]int64{"checkpointevery": 1})
 	wantFP, _ := baseline(t, spec, cfg)
 
-	// Atomic writes for this one-job, one-worker sequence: #1 queued
-	// (Submit), #2 running, #3 the first mid-run checkpoint — fail that
-	// one and only that one.
-	var writes atomic.Int64
-	prev := boardio.SetIOSeam(&boardio.IOSeam{
-		WrapWriter: func(w io.Writer) io.Writer {
-			if writes.Add(1) == 3 {
-				return faultinject.FailWrites(w, 1)
-			}
-			return w
-		},
-	})
-	defer boardio.SetIOSeam(prev)
+	// Job records for this one-job, one-worker sequence, one write each:
+	// #1 queued (Submit), #2 running, #3 the first mid-run checkpoint —
+	// fail that one and only that one. EACCES is not a disk errno, so the
+	// failure takes the retry path, not the degraded-disk posture.
+	inj := simfs.NewInjectFS(nil)
+	prev := simfs.Swap(inj)
+	defer simfs.Swap(prev)
+	inj.Arm(&simfs.Rule{Op: simfs.OpWrite, Path: journalExt + ".tmp", N: 3, Err: syscall.EACCES})
 
 	s, err := New(cfg)
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // under test classifies them exactly as it would classify the genuine
 // article (errors.Is(err, syscall.ENOSPC) and friends). It drives the
 // disk-degradation runtime paths and the fsync/short-write semantics
-// tests.
+// tests, and fails reads (OpRead: ReadFile, or Read on a file from
+// Open) for the load paths.
 type InjectFS struct {
 	under FS
 
@@ -105,7 +106,13 @@ func (i *InjectFS) Create(path string) (File, error) {
 	return &injectFile{f: f, fs: i, path: path}, nil
 }
 
-func (i *InjectFS) Open(path string) (File, error) { return i.under.Open(path) }
+func (i *InjectFS) Open(path string) (File, error) {
+	f, err := i.under.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &injectFile{f: f, fs: i, path: path}, nil
+}
 
 func (i *InjectFS) OpenDir(dir string) (File, error) {
 	f, err := i.under.OpenDir(dir)
@@ -129,7 +136,12 @@ func (i *InjectFS) Remove(path string) error {
 	return i.under.Remove(path)
 }
 
-func (i *InjectFS) ReadFile(path string) ([]byte, error) { return i.under.ReadFile(path) }
+func (i *InjectFS) ReadFile(path string) ([]byte, error) {
+	if err, _ := i.check(OpRead, path); err != nil {
+		return nil, err
+	}
+	return i.under.ReadFile(path)
+}
 
 func (i *InjectFS) ReadDir(dir string) ([]fs.DirEntry, error) { return i.under.ReadDir(dir) }
 
@@ -147,7 +159,12 @@ type injectFile struct {
 	dir  bool
 }
 
-func (f *injectFile) Read(p []byte) (int, error) { return f.f.Read(p) }
+func (f *injectFile) Read(p []byte) (int, error) {
+	if err, _ := f.fs.check(OpRead, f.path); err != nil {
+		return 0, err
+	}
+	return f.f.Read(p)
+}
 
 func (f *injectFile) Write(p []byte) (int, error) {
 	if err, short := f.fs.check(OpWrite, f.path); err != nil {

@@ -11,16 +11,17 @@ import (
 type OpKind int
 
 const (
-	OpCreate OpKind = iota // create/truncate a file
-	OpWrite                // append bytes to an open file
-	OpSync                 // fsync a file's data
-	OpRename               // rename a file
-	OpRemove               // unlink a file
-	OpSyncDir              // fsync a directory's entries
-	OpMkdir                // create a directory chain
+	OpCreate  OpKind = iota // create/truncate a file
+	OpWrite                 // append bytes to an open file
+	OpSync                  // fsync a file's data
+	OpRename                // rename a file
+	OpRemove                // unlink a file
+	OpSyncDir               // fsync a directory's entries
+	OpMkdir                 // create a directory chain
+	OpRead                  // ReadFile, or read from a file opened with Open: an InjectFS rule kind; LogFS records no reads
 )
 
-var opNames = [...]string{"create", "write", "sync", "rename", "remove", "syncdir", "mkdir"}
+var opNames = [...]string{"create", "write", "sync", "rename", "remove", "syncdir", "mkdir", "read"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {

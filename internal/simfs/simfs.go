@@ -79,8 +79,8 @@ func OS() FS { return osFS{} }
 type box struct{ fs FS }
 
 // current is the installed filesystem; nil means the OS filesystem.
-// An atomic pointer for the same reason as boardio's IOSeam: tests
-// flip it while server goroutines are mid-write.
+// An atomic pointer because tests flip it while server goroutines are
+// mid-write.
 var current atomic.Pointer[box]
 
 // Current returns the installed filesystem, defaulting to the OS.
@@ -93,8 +93,8 @@ func Current() FS {
 
 // Swap installs fsys as the package filesystem (nil restores direct OS
 // I/O) and returns the previously installed one so tests can restore
-// it. Like boardio.SetIOSeam, this is process-global: tests that swap
-// it must not run in parallel with other filesystem-touching tests.
+// it. It is process-global: tests that swap it must not run in
+// parallel with other filesystem-touching tests.
 func Swap(fsys FS) FS {
 	var prev *box
 	if fsys == nil {

@@ -42,7 +42,7 @@ func atomicWrite(t *testing.T, fsys FS, path string, data []byte) {
 }
 
 // TestLogFSWritesThrough: LogFS is not a mock — the bytes land on the
-// real disk, and the log records the exact op sequence.
+// real disk, and the log records the exact op sequence, reads excluded.
 func TestLogFSWritesThrough(t *testing.T) {
 	root := t.TempDir()
 	l := NewLogFS(root)
@@ -52,6 +52,18 @@ func TestLogFSWritesThrough(t *testing.T) {
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("file on disk = %q, %v; want hello", got, err)
 	}
+	// Neither read path is logged.
+	if _, err := l.ReadFile(filepath.Join(root, "a.txt")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := l.Open(filepath.Join(root, "a.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(f); err != nil || string(got) != "hello" {
+		t.Fatalf("read through LogFS = %q, %v; want hello", got, err)
+	}
+	f.Close()
 	want := []OpKind{OpCreate, OpWrite, OpSync, OpRename, OpSyncDir}
 	ops := l.Ops()
 	if len(ops) != len(want) {
@@ -295,5 +307,28 @@ func TestInjectFS(t *testing.T) {
 	got, _ := os.ReadFile(filepath.Join(root, "w"))
 	if string(got) != "abc" {
 		t.Fatalf("short write landed %q, want abc", got)
+	}
+
+	// Read failure: the Nth read through an opened file.
+	inj.Disarm()
+	inj.Arm(&Rule{Op: OpRead, Path: "w", N: 2, Err: syscall.EIO})
+	f, err = inj.Open(filepath.Join(root, "w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 1)
+	if _, err := f.Read(p); err != nil || p[0] != 'a' {
+		t.Fatalf("first read = %q, %v; want a", p, err)
+	}
+	if _, err := f.Read(p); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("second read: err = %v, want EIO", err)
+	}
+	f.Close()
+
+	// ReadFile matches the same rule kind.
+	inj.Disarm()
+	inj.Arm(&Rule{Op: OpRead, Path: "w", Err: syscall.EIO})
+	if _, err := inj.ReadFile(filepath.Join(root, "w")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("ReadFile: err = %v, want EIO", err)
 	}
 }
