@@ -46,9 +46,11 @@ soak-fleet:
 # strictly below the no-hedge baseline's in the same run, with zero
 # jobs lost or duplicated (done in exactly one journal fleet-wide) and
 # every result bit-identical to its oracle. The deadline and hedge
-# plumbing tests ride along because they gate the same contract.
+# plumbing tests ride along because they gate the same contract, and
+# so do the request-hardening tests, with the front-door test holding
+# the coordinator to grrd's answer for each of those requests.
 soak-slow:
-	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestCandidateOrderDeterministic'
+	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestCandidateOrderDeterministic|TestFrontDoorMatchesGrrd'
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline|TestBatchSubmit'
 
 # The crash-consistency and disk-fault soak under the race detector:

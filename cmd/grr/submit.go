@@ -20,8 +20,8 @@ import (
 // are accepted or refused independently, and each refusal is reported
 // with its HTTP code.
 //
-// Exit 0 when every job was accepted (or answered from the route
-// cache), 1 when any job was refused or a file could not be read.
+// Exit 0 when every job was accepted, 1 when any job was refused or a
+// file could not be read.
 func runSubmitBatch(baseURL string, deadline time.Duration, files []string) int {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "grr: -submit-batch needs at least one .brd file argument")

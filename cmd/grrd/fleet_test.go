@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -137,14 +138,16 @@ func TestFleetKillAndHandoffEquivalence(t *testing.T) {
 // TestFleetCoordinatorMode exercises the grrd -coordinator binary
 // end-to-end: a subprocess coordinator, a subprocess worker joining
 // it, a job submitted through the front door, and — the router being
-// deterministic — a second identical submission answered straight from
-// the design-fingerprint route cache without touching a worker.
+// deterministic — a second identical submission routed again as a new
+// job to the same fingerprint. The coordinator's stderr carries one
+// line per event: the worker's join is recorded once.
 func TestFleetCoordinatorMode(t *testing.T) {
 	spec := testSpec(t)
 	wantFP, _, _ := directRun(t, spec)
 
 	coord := startCoordinatorDaemon(t)
-	w := startDaemon(t, t.TempDir(),
+	journal := t.TempDir()
+	w := startDaemon(t, journal,
 		"-node-name", "w", "-join", coord.base, "-heartbeat-every", "25ms")
 	defer w.cmd.Process.Kill()
 
@@ -169,18 +172,39 @@ func TestFleetCoordinatorMode(t *testing.T) {
 		t.Errorf("fingerprint via coordinator = %s, want %s", fin.Fingerprint, want)
 	}
 
-	// Identical resubmission: served from the route cache, HTTP 200 (not
-	// 202 — nothing was admitted), same fingerprint, marked as a hit.
+	// Identical resubmission: admitted again (202, a new job ID) and
+	// routed again to the same fingerprint.
 	st2, resp2, err := postJob(t, coord.base, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Grr-Cache") != "hit" {
-		t.Fatalf("cached resubmit = %d (cache %q), want 200 hit",
-			resp2.StatusCode, resp2.Header.Get("X-Grr-Cache"))
+	if resp2.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit = %d, want 202", resp2.StatusCode)
 	}
-	if st2.Fingerprint != fin.Fingerprint {
-		t.Errorf("cached fingerprint = %s, want %s", st2.Fingerprint, fin.Fingerprint)
+	if st2.ID == st.ID {
+		t.Errorf("resubmit reused job ID %s", st.ID)
+	}
+	if fin2 := waitDone(t, coord.base, st2.ID); fin2.Fingerprint != fin.Fingerprint {
+		t.Errorf("resubmitted fingerprint = %s, want %s", fin2.Fingerprint, fin.Fingerprint)
+	}
+
+	// One line per event: after the coordinator exits, its stderr holds
+	// exactly one record of the worker's join, and that line carries
+	// the worker's journal.
+	coord.cmd.Process.Signal(syscall.SIGTERM)
+	if code := coord.wait(); code != exitOK {
+		t.Fatalf("coordinator exit = %d, want %d\nstderr:\n%s", code, exitOK, coord.stderr.String())
+	}
+	var joins []string
+	for _, line := range strings.Split(coord.stderr.String(), "\n") {
+		if strings.Contains(line, "join") {
+			joins = append(joins, line)
+		}
+	}
+	if len(joins) != 1 || !strings.Contains(joins[0], "event=fleet_join") ||
+		!strings.Contains(joins[0], "journal="+journal) {
+		t.Errorf("coordinator stderr records the join as %q, want one fleet_join line with journal=%s",
+			joins, journal)
 	}
 }
 

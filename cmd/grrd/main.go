@@ -99,7 +99,6 @@ func run() int {
 		nodeName  = flag.String("node-name", "", "worker mode: fleet-unique node name (required with -join)")
 		hbEvery   = flag.Duration("heartbeat-every", time.Second, "heartbeat cadence (worker: send; coordinator: expect and sweep)")
 		hbMiss    = flag.Int("heartbeat-miss", 3, "coordinator mode: missed beats before a node is fenced and failed over")
-		cacheSize = flag.Int("route-cache", 64, "coordinator mode: design-fingerprint route cache entries (negative disables)")
 		hedge     = flag.Duration("hedge", 0, "coordinator mode: hedge a job on a healthy peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = hedging off)")
 		slowFact  = flag.Float64("slow-factor", 3, "coordinator mode: latch a node slow when a latency signal exceeds this multiple of the fleet median")
 		maxBody   = flag.Int64("max-body", 16<<20, "maximum request body bytes accepted on POST /jobs")
@@ -116,7 +115,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "grrd: -coordinator and -join are mutually exclusive")
 			return exitUsage
 		}
-		return runCoordinator(*listen, *hbEvery, *hbMiss, *cacheSize, *retryBase, *retryMax, *headerMax, *hedge, *slowFact)
+		return runCoordinator(*listen, *hbEvery, *hbMiss, *retryBase, *retryMax, *headerMax, *hedge, *slowFact)
 	}
 	if *journalDir == "" {
 		fmt.Fprintln(os.Stderr, "grrd: -journal-dir is required")
@@ -275,13 +274,12 @@ func run() int {
 // runCoordinator serves the fleet coordinator on listen. It prints the
 // same contractual banner as a worker, so the harnesses that parse it
 // need not care which mode they launched.
-func runCoordinator(listen string, hbEvery time.Duration, hbMiss, cacheSize int,
+func runCoordinator(listen string, hbEvery time.Duration, hbMiss int,
 	retryBase, retryMax, headerMax, hedge time.Duration, slowFactor float64) int {
 	reg := obs.NewRegistry()
 	c := fleet.New(fleet.Config{
 		HeartbeatEvery: hbEvery,
 		HeartbeatMiss:  hbMiss,
-		CacheSize:      cacheSize,
 		RetryBase:      retryBase,
 		RetryMax:       retryMax,
 		Hedge:          hedge,

@@ -147,7 +147,7 @@ var optionFields = []optionField{
 // that no longer mean anything. ReadSnapshot and ApplyOption still
 // accept them, so old journals and old clients keep working, and ignore
 // their values; OptionNames and OptionInts leave them out, so they
-// never split a route-cache key. workers was the intra-board worker
+// never split a fleet placement key. workers was the intra-board worker
 // count, which never changed routed output.
 var legacyOptions = []string{"workers"}
 
@@ -164,7 +164,7 @@ func OptionNames() []string {
 
 // OptionInts returns every recognized option's integer serialization
 // from o, in OptionNames order — the resolved option vector. The
-// fleet's route-cache key hashes this vector rather than the raw
+// fleet's placement key hashes this vector rather than the raw
 // submission map, so a spec that spells out a default keys identically
 // to one that omits it, and an algorithmic option (engine, cost
 // weights) is structurally guaranteed a slot in the key.

@@ -52,7 +52,6 @@ func TestFleetChaosSoak(t *testing.T) {
 		HeartbeatMiss: 20,
 		RetryBase:     2 * time.Millisecond,
 		RetryMax:      20 * time.Millisecond,
-		CacheSize:     -1, // every submission must be routed, not remembered
 		Transport:     part.RoundTripper(nil),
 		Logf:          t.Logf,
 	})

@@ -29,7 +29,6 @@ func TestFleetRoutesAroundDiskDegradedNode(t *testing.T) {
 	c := New(Config{
 		HeartbeatEvery: 25 * time.Millisecond,
 		HeartbeatMiss:  40, // failover off: this test is about disk posture, not fencing
-		CacheSize:      -1,
 		Logf:           t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())

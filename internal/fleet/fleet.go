@@ -3,8 +3,8 @@
 //
 //   - jobs are admitted at the coordinator and placed by rendezvous
 //     hashing over the live, unsaturated nodes, then forwarded with
-//     bounded retry and jittered exponential backoff (the same shape
-//     grrd uses for its own job retries);
+//     bounded retry and jittered exponential backoff (server.Backoff,
+//     the one grrd spaces its own job retries with);
 //   - workers heartbeat their occupancy (the server.Load report); a
 //     node that misses its deadline is FENCED — its journal epoch is
 //     bumped with the fenced marker, so a zombie that was merely
@@ -15,9 +15,10 @@
 //   - an idle node pulls queued work from the most-loaded peer through
 //     the coordinator (work stealing), keeping the fleet busy without
 //     the workers knowing about each other;
-//   - results of completed jobs are cached by design fingerprint, so
-//     resubmitting an identical board costs nothing — the router is
-//     deterministic, the previous answer IS the answer.
+//   - a submission passes grrd's own request checks (server.DecodeSpec,
+//     server.ValidateDeadline) before it is placed, and a node's 400
+//     ends the walk, so a client gets the status a standalone grrd
+//     would give it.
 //
 // Degradation is graceful in both directions: a worker that cannot
 // reach the coordinator keeps serving its local queue (the agent just
@@ -35,7 +36,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -55,10 +55,6 @@ type Config struct {
 	// before it is declared dead and fenced (default 3): the failover
 	// deadline is HeartbeatEvery × HeartbeatMiss.
 	HeartbeatMiss int
-	// ForwardAttempts bounds transport-level retries per node while
-	// forwarding one job (default 3). Admission refusals (429/503) are
-	// not retried on the same node — the next candidate is tried.
-	ForwardAttempts int
 	// RetryBase and RetryMax shape the forwarding backoff exactly like
 	// server.Config shapes job retries: attempt n waits roughly
 	// RetryBase·2ⁿ⁻¹ jittered to [d/2, d), capped at RetryMax
@@ -68,9 +64,6 @@ type Config struct {
 	// RetrySeed seeds the backoff jitter (0 = fixed default seed; the
 	// coordinator's jitter has no correctness role).
 	RetrySeed int64
-	// CacheSize bounds the design-fingerprint route cache (default 64
-	// entries, FIFO; 0 uses the default, negative disables caching).
-	CacheSize int
 	// Transport is the HTTP transport for all coordinator→node calls —
 	// the seam the chaos tests wire a faultinject.Partition into. Nil
 	// uses http.DefaultTransport.
@@ -104,9 +97,6 @@ func (c *Config) setDefaults() {
 	if c.HeartbeatMiss <= 0 {
 		c.HeartbeatMiss = 3
 	}
-	if c.ForwardAttempts <= 0 {
-		c.ForwardAttempts = 3
-	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 10 * time.Millisecond
 	}
@@ -115,9 +105,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetrySeed == 0 {
 		c.RetrySeed = 1
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 64
 	}
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 3
@@ -154,8 +141,8 @@ type node struct {
 // alive reports whether the node is scheduling-eligible at all.
 func (n *node) alive() bool { return !n.Fenced }
 
-// assignment tracks where a job lives and, when known, its spec key
-// for the route cache.
+// assignment tracks where a job lives and, when known, its placement
+// key, which orders the candidates for a hedge copy.
 type assignment struct {
 	node string
 	key  uint64 // 0 = unknown (recovered jobs lose theirs; harmless)
@@ -174,7 +161,9 @@ type Coordinator struct {
 	client *http.Client
 	obs    *fleetObs
 	log    *obs.Logger
-	cache  *routeCache
+	// backoff spaces transport retries of one forward (RetryBase,
+	// RetryMax, RetrySeed).
+	backoff *server.Backoff
 
 	mu      sync.Mutex
 	nodes   map[string]*node
@@ -186,7 +175,6 @@ type Coordinator struct {
 	// window holds recent job completion latencies (seconds); its p95
 	// sets the hedge delay once enough samples exist.
 	window *obs.Window
-	rng    *rand.Rand
 
 	stop   chan struct{}
 	stopWg sync.WaitGroup
@@ -202,14 +190,13 @@ func New(cfg Config) *Coordinator {
 		client:  &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second},
 		obs:     newFleetObs(cfg.Metrics),
 		log:     cfg.Log,
-		cache:   newRouteCache(cfg.CacheSize),
+		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		nodes:   make(map[string]*node),
 		assign:  make(map[string]assignment),
 		results: make(map[string]server.Status),
 		hedges:  make(map[string]hedgeState),
 		claims:  make(map[string]claimant),
 		window:  obs.NewWindow(256),
-		rng:     rand.New(rand.NewSource(cfg.RetrySeed)),
 		stop:    make(chan struct{}),
 	}
 	c.stopWg.Add(1)
@@ -246,8 +233,7 @@ func (c *Coordinator) Join(name, addr, journal string, epoch uint64, load server
 	}
 	c.obs.joined.Inc()
 	c.publishNodeGauges()
-	c.cfg.Logf("fleet: node %s joined (%s, journal %s, epoch %d)", name, addr, journal, epoch)
-	c.log.Log("fleet_join", "node", name, "addr", addr, "epoch", epoch)
+	c.log.Log("fleet_join", "node", name, "addr", addr, "journal", journal, "epoch", epoch)
 	return nil
 }
 
@@ -340,11 +326,9 @@ func (c *Coordinator) fence(n *node) {
 	if err != nil {
 		// The journal dir is gone or unwritable. Nothing to recover from —
 		// but also nothing a zombie could commit to. Log and move on.
-		c.cfg.Logf("fleet: fencing %s: %v", n.Name, err)
 		c.log.Log("fleet_fence_error", "node", n.Name, "err", err.Error())
 		return
 	}
-	c.cfg.Logf("fleet: node %s missed its heartbeat deadline; fenced at epoch %d", n.Name, epoch)
 	c.log.Log("fleet_fence", "node", n.Name, "epoch", epoch)
 
 	recs, err := server.LoadRecords(n.Journal, func(path string, err error) {
@@ -551,23 +535,6 @@ func candidateLess(nameA, nameB string, scoreA, scoreB uint64) bool {
 		return scoreA > scoreB
 	}
 	return nameA < nameB
-}
-
-// backoff computes the jittered delay before transport retry
-// attempt+1 — the same shape as the server's job-retry backoff.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	c.mu.Lock()
-	jit := c.rng.Int63n(half + 1)
-	c.mu.Unlock()
-	return time.Duration(half + jit)
 }
 
 // sleep waits d or until the coordinator stops.

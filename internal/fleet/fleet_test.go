@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -95,28 +96,27 @@ func TestSpecKey(t *testing.T) {
 	}
 }
 
-// TestSpecKeyEngine is the regression test for the cache-keying bug:
-// the search engine (and every other algorithmic option) must be part
-// of the route-cache key, or a cached classic-engine result would be
-// served for a goal-engine request — a silent answer swap, since the
-// two engines may route the same board differently.
+// TestSpecKeyEngine: the search engine (and every other algorithmic
+// option) is part of the placement key, and the key hashes the
+// resolved option vector, so two spellings of one routing problem
+// place on the same node and two different problems key apart.
 func TestSpecKeyEngine(t *testing.T) {
 	classic := buildSpec(t, 1)
 	goal := buildSpec(t, 1)
 	goal.Options["engine"] = int64(core.EngineGoal)
 	if specKey(classic) == specKey(goal) {
-		t.Fatal("classic and goal engine requests share a cache key")
+		t.Fatal("classic and goal engine requests share a key")
 	}
 
 	// Cost options are algorithmic too.
 	cost := buildSpec(t, 1)
 	cost.Options["cost"] = 1
 	if specKey(classic) == specKey(cost) {
-		t.Error("different cost functions share a cache key")
+		t.Error("different cost functions share a key")
 	}
 
 	// The key hashes the RESOLVED vector: spelling out a default is the
-	// same problem as omitting it, and must hit the same cache entry.
+	// same problem as omitting it, and must key the same.
 	explicit := buildSpec(t, 1)
 	explicit.Options["engine"] = int64(core.EngineClassic)
 	if specKey(classic) != specKey(explicit) {
@@ -124,7 +124,7 @@ func TestSpecKeyEngine(t *testing.T) {
 	}
 
 	// "workers" is a legacy option name, accepted and ignored: it never
-	// changed routed output, so it must not split the cache.
+	// changed routed output, so it must not split the key.
 	legacy := buildSpec(t, 1)
 	legacy.Options["workers"] = 4
 	if specKey(classic) != specKey(legacy) {
@@ -137,37 +137,6 @@ func TestSpecKeyEngine(t *testing.T) {
 	bogus.Options["engin"] = int64(core.EngineGoal) // misspelled
 	if specKey(bogus) == specKey(classic) || specKey(bogus) == specKey(goal) {
 		t.Error("unknown option name aliases a valid spec")
-	}
-}
-
-func TestRouteCacheFIFO(t *testing.T) {
-	rc := newRouteCache(2)
-	done := func(id string) server.Status { return server.Status{ID: id, State: server.StateDone} }
-	rc.put(1, done("a"))
-	rc.put(2, done("b"))
-	rc.put(3, done("c")) // evicts 1
-	if _, ok := rc.get(1); ok {
-		t.Error("oldest entry not evicted")
-	}
-	for _, k := range []uint64{2, 3} {
-		if _, ok := rc.get(k); !ok {
-			t.Errorf("entry %d missing", k)
-		}
-	}
-	// Non-terminal and failed statuses are never cached: only a done
-	// answer is a reusable answer.
-	rc.put(4, server.Status{ID: "d", State: server.StateFailed})
-	if _, ok := rc.get(4); ok {
-		t.Error("failed status cached")
-	}
-	if rc.len() != 2 {
-		t.Errorf("cache size = %d, want 2", rc.len())
-	}
-
-	off := newRouteCache(-1)
-	off.put(9, done("z"))
-	if _, ok := off.get(9); ok {
-		t.Error("disabled cache stored an entry")
 	}
 }
 
@@ -285,7 +254,7 @@ func submit(t *testing.T, coordURL string, spec server.JobSpec) server.Status {
 		decodeErr := json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		switch resp.StatusCode {
-		case http.StatusAccepted, http.StatusOK:
+		case http.StatusAccepted:
 			if decodeErr != nil {
 				t.Fatal(decodeErr)
 			}
@@ -341,7 +310,6 @@ func TestWorkStealingRebalances(t *testing.T) {
 	c := New(Config{
 		HeartbeatEvery: 25 * time.Millisecond,
 		HeartbeatMiss:  40, // failover off: this test is about stealing, not fencing
-		CacheSize:      -1,
 		Logf:           t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())
@@ -399,11 +367,34 @@ func TestWorkStealingRebalances(t *testing.T) {
 	}
 }
 
+// TestMergeJobsIgnoresHandedOffCopy: after a steal the donor still
+// lists the job as handed_off while the thief runs it, and GET /jobs
+// asks the nodes in map order. The fleet-wide list must show the
+// thief's copy in either order; otherwise a later copy still replaces
+// an earlier one, and a job known only as handed_off stays listed.
+func TestMergeJobsIgnoresHandedOffCopy(t *testing.T) {
+	donor := server.Status{ID: "job-busy-000001", State: server.StateHandedOff}
+	thief := server.Status{ID: "job-busy-000001", State: server.StateRunning}
+	for _, copies := range [][]server.Status{{donor, thief}, {thief, donor}} {
+		if got := mergeJobs(copies); len(got) != 1 || got[0] != thief {
+			t.Errorf("merging %v = %v, want the thief's copy %v", copies, got, thief)
+		}
+	}
+
+	pending := server.Status{ID: "job-a-000002", State: server.StateQueued}
+	live := server.Status{ID: "job-a-000002", State: server.StateDone}
+	alone := server.Status{ID: "job-a-000003", State: server.StateHandedOff}
+	got := mergeJobs([]server.Status{alone, pending, live})
+	if want := []server.Status{live, alone}; !slices.Equal(got, want) {
+		t.Errorf("merge = %v, want %v", got, want)
+	}
+}
+
 // TestCoordinatorDegradesToRetryAfter: with every node gone saturated
 // — or no nodes at all — the coordinator sheds load like a single
 // busy grrd: 429 with a Retry-After, never a hang or a 500.
 func TestCoordinatorDegradesToRetryAfter(t *testing.T) {
-	c := New(Config{HeartbeatEvery: 25 * time.Millisecond, CacheSize: -1, Logf: t.Logf})
+	c := New(Config{HeartbeatEvery: 25 * time.Millisecond, Logf: t.Logf})
 	ts := httptest.NewServer(c.Handler())
 	defer func() {
 		ts.Close()

@@ -68,20 +68,13 @@ func (c *Coordinator) noteForward(name string, d time.Duration) {
 	}
 }
 
-// noteTerminalLocked records a job's terminal status: servable result,
-// route-cache entry, and a completion-latency sample for the hedge
-// trigger. Callers hold mu.
+// noteTerminalLocked records a job's terminal status: servable result
+// and a completion-latency sample for the hedge trigger. Callers hold
+// mu.
 func (c *Coordinator) noteTerminalLocked(id string, st server.Status) {
 	_, seen := c.results[id]
 	c.results[id] = st
-	a, ok := c.assign[id]
-	if !ok {
-		return
-	}
-	if a.key != 0 && st.State == server.StateDone {
-		c.cache.put(a.key, st)
-	}
-	if !seen && !a.created.IsZero() {
+	if a, ok := c.assign[id]; ok && !seen && !a.created.IsZero() {
 		c.window.Observe(time.Since(a.created).Seconds())
 	}
 }
@@ -170,18 +163,18 @@ func (c *Coordinator) updateSlow() {
 				clear = false
 			}
 		}
+		was := s.n.Slow
 		switch {
-		case latch && !s.n.Slow:
+		case latch:
 			s.n.Slow = true
-			c.obs.slowTransitions.Inc()
-			c.cfg.Logf("fleet: node %s latched slow (fwd %.1fms, queue %.1fms, disk %.1fms)",
-				s.n.Name, s.fwd, s.qw, s.dw)
-			c.log.Log("fleet_slow", "node", s.n.Name, "slow", true)
-		case clear && s.n.Slow:
+		case clear:
 			s.n.Slow = false
+		}
+		if s.n.Slow != was {
 			c.obs.slowTransitions.Inc()
-			c.cfg.Logf("fleet: node %s recovered from slow posture", s.n.Name)
-			c.log.Log("fleet_slow", "node", s.n.Name, "slow", false)
+			c.log.Log("fleet_slow", "node", s.n.Name, "slow", s.n.Slow,
+				"fwd_ms", fmt.Sprintf("%.1f", s.fwd), "queue_ms", fmt.Sprintf("%.1f", s.qw),
+				"disk_ms", fmt.Sprintf("%.1f", s.dw))
 		}
 		if s.n.Slow {
 			slowCount++
@@ -319,7 +312,6 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 		c.hedges[id] = hedgeState{node: name, token: tokenHedge}
 		c.mu.Unlock()
 		c.obs.hedgeLaunched.Inc()
-		c.cfg.Logf("fleet: hedged %s: original on %s, hedge on %s", id, owner, name)
 		c.log.Log("fleet_hedge", "job", id, "owner", owner, "hedge", name)
 		return
 	}

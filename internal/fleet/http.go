@@ -17,11 +17,14 @@ import (
 
 // Handler exposes the coordinator over HTTP. The job surface mirrors a
 // single grrd — clients talk to the fleet exactly as they would talk
-// to one daemon — plus the fleet-control endpoints the agents use:
+// to one daemon, and a request grrd refuses gets the same status here
+// — plus the fleet-control endpoints the agents use:
 //
-//	POST /jobs      submit; placed on a worker (202), served from the
-//	                route cache (200), or shed with 429 + Retry-After
-//	                when no node can take it
+//	POST /jobs      submit; placed on a worker (202), refused as grrd
+//	                refuses it (400, 413; a node's 400 comes back with
+//	                the node's error text), or shed with 429 +
+//	                Retry-After when no node can take it
+//	POST /jobs/batch  submit many; each job placed as by POST /jobs
 //	GET  /jobs      fleet-wide job list (proxied node views merged with
 //	                the coordinator's own results and pending handoffs)
 //	GET  /jobs/{id} one job, proxied to its current owner; terminal
@@ -111,28 +114,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSubmit admits one job into the fleet: route-cache lookup
-// first, then rendezvous-ordered forwarding with per-node transport
-// retries. Admission refusals walk to the next candidate; when every
-// node refuses, the strongest Retry-After seen propagates to the
-// client — a shrunken pool looks exactly like one saturated grrd.
+// handleSubmit admits one job into the fleet: grrd's own request step,
+// then rendezvous-ordered forwarding with per-node transport retries.
+// Admission refusals walk to the next candidate; when every node
+// refuses, the strongest Retry-After seen propagates to the client — a
+// shrunken pool looks exactly like one saturated grrd.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	spec, code, err := server.DecodeSpec(w, r, 16<<20)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "reading body: " + err.Error()})
+		writeJSON(w, code, httpError{Error: err.Error()})
 		return
 	}
-	var spec server.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad job spec: " + err.Error()})
-		return
-	}
-	p := c.placeJob(spec, body)
-	if p.cacheHit {
-		w.Header().Set("X-Grr-Cache", "hit")
-		writeJSON(w, http.StatusOK, p.st)
-		return
-	}
+	p := c.placeJob(spec)
 	if p.accepted {
 		w.Header().Set("X-Grr-Node", p.node)
 		writeJSON(w, http.StatusAccepted, p.st)
@@ -144,81 +137,69 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, p.code, httpError{Error: p.errMsg})
 }
 
-// placement is the result of routing one submission through the cache,
-// candidate ordering and forwarding pipeline.
+// placement is the result of routing one submission through candidate
+// ordering and forwarding.
 type placement struct {
 	st         server.Status
 	node       string
-	cacheHit   bool
 	accepted   bool
 	code       int    // refusal status code when not accepted
 	retryAfter int    // seconds; 0 = no hint
 	errMsg     string // refusal detail
 }
 
-// placeJob runs one submission through the fleet: route-cache lookup,
-// then rendezvous-ordered forwarding with the per-hop deadline
+// placeJob runs one submission through the fleet: grrd's deadline
+// check, then rendezvous-ordered forwarding with the per-hop deadline
 // decrement of DESIGN §14 — before every forward the job's remaining
 // budget is recomputed, so each node sees only what is actually left,
-// and a budget that dies mid-walk stops the walk with 504. Used by both
-// the single-submit and batch handlers.
-func (c *Coordinator) placeJob(spec server.JobSpec, body []byte) placement {
-	key := specKey(spec)
-	if st, ok := c.cache.get(key); ok {
-		c.obs.cacheHits.Inc()
-		return placement{st: st, cacheHit: true}
+// and a budget that dies mid-walk stops the walk with 504. A node's 400
+// ends the walk too: every node runs the same checks, so a spec one
+// refuses, all refuse. Used by both the single-submit and batch
+// handlers.
+func (c *Coordinator) placeJob(spec server.JobSpec) placement {
+	budget, err := server.ValidateDeadline(spec.DeadlineMs)
+	if err != nil {
+		return placement{code: http.StatusBadRequest, errMsg: err.Error()}
 	}
-	c.obs.cacheMisses.Inc()
-
 	// Pin the absolute deadline at admission: deadline_ms is relative,
 	// and "now" must not drift while we walk candidates.
 	var deadline time.Time
-	if spec.DeadlineMs != nil {
-		v := *spec.DeadlineMs
-		if v <= 0 || v > server.MaxDeadlineMs {
-			return placement{code: http.StatusBadRequest,
-				errMsg: fmt.Sprintf("fleet: deadline_ms must be in (0, %d], got %d", server.MaxDeadlineMs, v)}
-		}
-		deadline = time.Now().Add(time.Duration(v) * time.Millisecond)
+	if budget > 0 {
+		deadline = time.Now().Add(budget)
 	}
 
+	key := specKey(spec)
 	cands := c.candidates(key)
 	retryAfter, sawDeadline := 0, false
 	for _, n := range cands {
-		fbody := body
+		hop := spec
 		if !deadline.IsZero() {
 			remaining := time.Until(deadline)
 			if remaining <= 0 {
 				sawDeadline = true
 				break // the budget died while we walked; stop burning it
 			}
-			ms := remaining.Milliseconds()
-			if ms < 1 {
-				ms = 1
-			}
-			hop := spec
+			ms := max(remaining.Milliseconds(), 1)
 			hop.DeadlineMs = &ms
-			fbody, _ = json.Marshal(hop)
 		}
-		st, done, ra, code := c.forward(n, fbody)
-		if done {
+		body, _ := json.Marshal(hop) // a JobSpec always marshals
+		p := c.forward(n, body)
+		switch {
+		case p.accepted:
 			c.mu.Lock()
-			c.assign[st.ID] = assignment{node: n.Name, key: key, created: time.Now(), deadline: deadline}
+			c.assign[p.st.ID] = assignment{node: n.Name, key: key, created: time.Now(), deadline: deadline}
 			c.mu.Unlock()
 			c.obs.forwarded.Inc()
-			c.log.Log("fleet_forward", "job", st.ID, "node", n.Name)
-			return placement{st: st, node: n.Name, accepted: true}
-		}
-		if code == http.StatusGatewayTimeout {
+			c.log.Log("fleet_forward", "job", p.st.ID, "node", n.Name)
+			return p
+		case p.code == http.StatusBadRequest:
+			return p
+		case p.code == http.StatusGatewayTimeout:
 			sawDeadline = true
 		}
-		if ra > retryAfter {
-			retryAfter = ra
-		}
+		retryAfter = max(retryAfter, p.retryAfter)
 	}
-	if retryAfter < 1 {
-		retryAfter = 1
-	}
+	retryAfter = max(retryAfter, 1)
 	msg := "fleet: no node accepted the job"
 	if len(cands) == 0 {
 		msg = "fleet: no schedulable nodes"
@@ -235,43 +216,26 @@ func (c *Coordinator) placeJob(spec server.JobSpec, body []byte) placement {
 	return placement{code: http.StatusTooManyRequests, retryAfter: retryAfter, errMsg: msg}
 }
 
-// handleBatch fans a BatchRequest out through the normal placement
-// pipeline, one job at a time — each item inherits the batch envelope
-// deadline unless it carries its own, and reports its own acceptance
-// or refusal. 200 whenever the batch itself was well-formed.
+// handleBatch fans a batch out through the normal placement pipeline,
+// one job at a time, after grrd's own batch request step — each job
+// reports its own acceptance or refusal. 200 whenever the batch itself
+// was well-formed. The body cap is four times a single submit's: a
+// batch forwards as single jobs, never whole.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad batch: " + err.Error()})
+	specs, code, err := server.DecodeBatch(w, r, 64<<20)
+	if err != nil {
+		writeJSON(w, code, httpError{Error: err.Error()})
 		return
 	}
-	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad batch: no jobs"})
-		return
-	}
-	if len(req.Jobs) > server.MaxBatchJobs {
-		writeJSON(w, http.StatusBadRequest,
-			httpError{Error: fmt.Sprintf("bad batch: %d jobs exceeds the %d maximum", len(req.Jobs), server.MaxBatchJobs)})
-		return
-	}
-	resp := server.BatchResponse{Jobs: make([]server.BatchResult, len(req.Jobs))}
-	for i, spec := range req.Jobs {
-		if spec.DeadlineMs == nil {
-			spec.DeadlineMs = req.DeadlineMs
-		}
-		body, err := json.Marshal(spec)
-		if err != nil {
-			resp.Jobs[i] = server.BatchResult{Error: err.Error(), Code: http.StatusBadRequest}
+	resp := server.BatchResponse{Jobs: make([]server.BatchResult, len(specs))}
+	for i, spec := range specs {
+		p := c.placeJob(spec)
+		if !p.accepted {
+			resp.Jobs[i] = server.BatchResult{Error: p.errMsg, Code: p.code}
 			continue
 		}
-		p := c.placeJob(spec, body)
-		if p.cacheHit || p.accepted {
-			st := p.st
-			resp.Jobs[i] = server.BatchResult{Status: &st}
-			resp.Accepted++
-			continue
-		}
-		resp.Jobs[i] = server.BatchResult{Error: p.errMsg, Code: p.code}
+		resp.Jobs[i] = server.BatchResult{Status: &p.st}
+		resp.Accepted++
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -290,20 +254,25 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"win": c.Claim(req.Job, req.Node, req.Token)})
 }
 
+// forwardAttempts bounds transport-level tries per node while
+// forwarding one job. Admission refusals (429/503) are not retried on
+// the same node — the next candidate is tried.
+const forwardAttempts = 3
+
 // forward delivers one submission to one node with bounded transport
-// retries. It returns the accepted Status, or done=false with the
-// node's Retry-After hint (seconds; 0 when none was offered) and the
-// refusal status code. Every round-trip — success or failure — trains
-// the node's forward-latency EWMA, the fail-slow signal the node
+// retries: the accepted Status, or the refusal's status code (0 when
+// the node never answered), Retry-After hint (seconds; 0 when none was
+// offered) and error text. Every round-trip — success or failure —
+// trains the node's forward-latency EWMA, the fail-slow signal the node
 // cannot misreport.
-func (c *Coordinator) forward(n *node, body []byte) (st server.Status, done bool, retryAfter, code int) {
+func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 	t0 := time.Now()
 	defer func() {
 		d := time.Since(t0)
 		c.obs.forwardSeconds.Observe(d.Seconds())
 		c.noteForward(n.Name, d)
 	}()
-	for attempt := 1; attempt <= c.cfg.ForwardAttempts; attempt++ {
+	for attempt := 1; attempt <= forwardAttempts; attempt++ {
 		resp, err := c.client.Post(n.Addr+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			// Transport failure: the node may be partitioned or mid-restart.
@@ -311,36 +280,34 @@ func (c *Coordinator) forward(n *node, body []byte) (st server.Status, done bool
 			// its own transient faults.
 			c.obs.forwardRetries.Inc()
 			c.cfg.Logf("fleet: forwarding to %s (attempt %d): %v", n.Name, attempt, err)
-			if attempt < c.cfg.ForwardAttempts {
-				c.sleep(c.backoff(attempt))
+			if attempt < forwardAttempts {
+				c.sleep(c.backoff.Delay(attempt))
 			}
 			continue
 		}
-		func() {
-			defer resp.Body.Close()
-			code = resp.StatusCode
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				done = json.NewDecoder(resp.Body).Decode(&st) == nil
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-				http.StatusInsufficientStorage, http.StatusGatewayTimeout:
-				// Load sheds (429/503/507) and deadline refusals (504) come
-				// with a Retry-After and mean "try the next candidate", not
-				// "the spec is bad".
-				if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-					retryAfter = s
-				}
-			default:
-				// 400s: the spec is bad everywhere; no Retry-After, the loop
-				// ends and the client gets the refusal.
-				var e httpError
-				_ = json.NewDecoder(resp.Body).Decode(&e)
-				c.cfg.Logf("fleet: node %s refused job: %d %s", n.Name, resp.StatusCode, e.Error)
+		defer resp.Body.Close()
+		p.code = resp.StatusCode
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			if json.NewDecoder(resp.Body).Decode(&p.st) == nil {
+				p.node, p.accepted = n.Name, true
 			}
-		}()
-		return st, done, retryAfter, code
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable,
+			http.StatusInsufficientStorage, http.StatusGatewayTimeout:
+			// Load sheds (429/503/507) and deadline refusals (504) come
+			// with a Retry-After and mean "try the next candidate", not
+			// "the spec is bad".
+			p.retryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After"))
+		default:
+			// A bad spec (400; placeJob ends the walk on it) or a failure.
+			var e httpError
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			p.errMsg = e.Error
+			c.cfg.Logf("fleet: node %s refused job: %d %s", n.Name, resp.StatusCode, e.Error)
+		}
+		return p
 	}
-	return server.Status{}, false, 0, 0
+	return p
 }
 
 // handleStatus serves one job's status: the coordinator's own results
@@ -413,13 +380,13 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // wins over the coordinator's stale copy; results of dead nodes appear
 // only here.
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	byID := make(map[string]server.Status)
+	var copies []server.Status
 	c.mu.Lock()
-	for id, st := range c.results {
-		byID[id] = st
+	for _, st := range c.results {
+		copies = append(copies, st)
 	}
 	for _, rec := range c.pending {
-		byID[rec.ID] = rec.Status()
+		copies = append(copies, rec.Status())
 	}
 	var addrs []string
 	for _, n := range c.nodes {
@@ -440,16 +407,29 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		for _, st := range sts {
-			byID[st.ID] = st
+		copies = append(copies, sts...)
+	}
+	writeJSON(w, http.StatusOK, mergeJobs(copies))
+}
+
+// mergeJobs folds every copy of every job into one list sorted by ID.
+// A later copy replaces an earlier one, except a handed_off copy: that
+// is a donor's note that the job moved on, and it never replaces a
+// copy already merged, whatever order the nodes were asked in.
+func mergeJobs(copies []server.Status) []server.Status {
+	byID := make(map[string]server.Status, len(copies))
+	for _, st := range copies {
+		if _, seen := byID[st.ID]; seen && st.State == server.StateHandedOff {
+			continue
 		}
+		byID[st.ID] = st
 	}
 	out := make([]server.Status, 0, len(byID))
 	for _, st := range byID {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 // stealFrom asks one node to relinquish a queued job; nil when it had

@@ -26,9 +26,6 @@ type fleetObs struct {
 	handoffs      *obs.Counter
 	steals        *obs.Counter
 
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-
 	pendingGauge *obs.Gauge
 	nodesByState map[string]*obs.Gauge
 
@@ -61,9 +58,6 @@ func newFleetObs(reg *obs.Registry) *fleetObs {
 		recoveredJobs: reg.Counter("grr_fleet_jobs_recovered_total"),
 		handoffs:      reg.Counter("grr_fleet_handoffs_total"),
 		steals:        reg.Counter("grr_fleet_steals_total"),
-
-		cacheHits:   reg.Counter("grr_fleet_cache_hits_total"),
-		cacheMisses: reg.Counter("grr_fleet_cache_misses_total"),
 
 		pendingGauge: reg.Gauge("grr_fleet_handoffs_pending"),
 		nodesByState: make(map[string]*obs.Gauge, len(nodeStates)),

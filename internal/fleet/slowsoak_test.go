@@ -85,7 +85,7 @@ type slowPhase struct {
 // slowestPlacement names the node rendezvous placement favours for the
 // most of specs. Making that node the fail-slow one guarantees it is
 // handed work before the coordinator can latch its posture, whatever
-// the cache-key hash of the specs happens to be.
+// the placement-key hash of the specs happens to be.
 func slowestPlacement(specs []server.JobSpec, names []string) string {
 	wins := make(map[string]int, len(names))
 	for _, spec := range specs {
@@ -115,7 +115,6 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			HeartbeatMiss:  40, // nobody dies in this test; fencing would hide fail-slow
 			RetryBase:      2 * time.Millisecond,
 			RetryMax:       20 * time.Millisecond,
-			CacheSize:      -1, // every submission must be routed, not remembered
 			Hedge:          hedge,
 			Logf:           t.Logf,
 		})

@@ -69,7 +69,6 @@ func (s *Server) noteDiskError(err error) {
 		return
 	}
 	s.obs.diskDegradedG.Set(1)
-	s.cfg.Logf("grrd: disk degraded, refusing new work: %v", err)
 	s.log.Log("disk_degraded", "err", err.Error())
 }
 
@@ -126,7 +125,6 @@ func (s *Server) exitDiskDegraded() {
 	}
 	s.obs.diskDegradedG.Set(0)
 	s.obs.diskRecoveries.Inc()
-	s.cfg.Logf("grrd: disk recovered, resuming admissions")
 	s.log.Log("disk_recovered")
 	for _, j := range s.leaving(evRejournal) {
 		s.transition(j, evRejournal, nil)

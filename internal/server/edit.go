@@ -72,7 +72,7 @@ func (s *Server) SubmitEdit(parentID string, edits []core.Edit, deadlineMs *int6
 		s.obs.rejectSpec.Inc()
 		return Status{}, fmt.Errorf("server: edit: no edits")
 	}
-	budget, err := validateDeadline(deadlineMs)
+	budget, err := ValidateDeadline(deadlineMs)
 	if err != nil {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err

@@ -20,10 +20,11 @@ import (
 // claim, so the standalone and no-hedge fleet paths are byte-identical
 // to the pre-hedging server.
 
-// validateDeadline checks a submission's deadline_ms bound and converts
+// ValidateDeadline checks a submission's deadline_ms bound and converts
 // it to a duration (0 = no deadline). Violations are client errors: the
-// HTTP layer maps them to 400.
-func validateDeadline(deadlineMs *int64) (time.Duration, error) {
+// HTTP layer maps them to 400. The fleet coordinator runs the same
+// check before it places a job, so both refuse the same values.
+func ValidateDeadline(deadlineMs *int64) (time.Duration, error) {
 	if deadlineMs == nil {
 		return 0, nil
 	}

@@ -188,11 +188,9 @@ func (s *Server) submitCode(err error) (code int, retryAfter string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.writeJSON(w, bodyErrCode(err), httpError{Error: "bad job spec: " + err.Error()})
+	spec, code, err := DecodeSpec(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeJSON(w, code, httpError{Error: err.Error()})
 		return
 	}
 	st, err := s.Submit(spec)
@@ -205,6 +203,52 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", ra)
 	}
 	s.writeJSON(w, code, httpError{Error: err.Error()})
+}
+
+// DecodeSpec is the request step of POST /jobs. grrd and the fleet
+// coordinator both run it, so the two refuse the same requests with the
+// same status: a body over maxBytes is a 413, and a body that is not
+// one JobSpec (an unknown field included) is a 400. The spec's own
+// checks — deadline_ms, the design, the options — come after, at
+// admission.
+func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec, int, error) {
+	var spec JobSpec
+	if err := decodeStrict(w, r, maxBytes, &spec); err != nil {
+		return spec, bodyErrCode(err), fmt.Errorf("bad job spec: %w", err)
+	}
+	return spec, 0, nil
+}
+
+// DecodeBatch is DecodeSpec for POST /jobs/batch: the same body rules,
+// then the batch's own — at least one job and at most MaxBatchJobs, or
+// 400 — and the envelope's deadline_ms copied into every job that
+// carries none. Each job is then admitted on its own.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]JobSpec, int, error) {
+	var req BatchRequest
+	if err := decodeStrict(w, r, maxBytes, &req); err != nil {
+		return nil, bodyErrCode(err), fmt.Errorf("bad batch: %w", err)
+	}
+	switch {
+	case len(req.Jobs) == 0:
+		return nil, http.StatusBadRequest, errors.New("bad batch: no jobs")
+	case len(req.Jobs) > MaxBatchJobs:
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("bad batch: %d jobs exceeds the %d maximum", len(req.Jobs), MaxBatchJobs)
+	}
+	for i := range req.Jobs {
+		if req.Jobs[i].DeadlineMs == nil {
+			req.Jobs[i].DeadlineMs = req.DeadlineMs
+		}
+	}
+	return req.Jobs, 0, nil
+}
+
+// decodeStrict decodes one JSON request body of at most maxBytes into
+// v, refusing fields v does not have.
+func decodeStrict(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // bodyErrCode distinguishes an oversize body (413, the MaxBodyBytes
@@ -252,27 +296,13 @@ const MaxBatchJobs = 256
 // reports its own status or refusal. The response is 200 whenever the
 // batch itself was well-formed — per-item codes live in the items.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeJSON(w, bodyErrCode(err), httpError{Error: "bad batch: " + err.Error()})
+	specs, code, err := DecodeBatch(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeJSON(w, code, httpError{Error: err.Error()})
 		return
 	}
-	if len(req.Jobs) == 0 {
-		s.writeJSON(w, http.StatusBadRequest, httpError{Error: "bad batch: no jobs"})
-		return
-	}
-	if len(req.Jobs) > MaxBatchJobs {
-		s.writeJSON(w, http.StatusBadRequest,
-			httpError{Error: fmt.Sprintf("bad batch: %d jobs exceeds the %d maximum", len(req.Jobs), MaxBatchJobs)})
-		return
-	}
-	resp := BatchResponse{Jobs: make([]BatchResult, len(req.Jobs))}
-	for i, spec := range req.Jobs {
-		if spec.DeadlineMs == nil {
-			spec.DeadlineMs = req.DeadlineMs
-		}
+	resp := BatchResponse{Jobs: make([]BatchResult, len(specs))}
+	for i, spec := range specs {
 		st, err := s.Submit(spec)
 		if err != nil {
 			code, _ := s.submitCode(err)
@@ -299,9 +329,7 @@ type editRequest struct {
 // the parent's run is still retained.
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	var req editRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		s.writeJSON(w, bodyErrCode(err), httpError{Error: "bad edit request: " + err.Error()})
 		return
 	}

@@ -393,8 +393,7 @@ func (s *Server) leaving(ev event) []*Job {
 func (s *Server) saveJob(rec *Job) error {
 	if err := checkEpoch(s.cfg.JournalDir, s.epoch); err != nil {
 		if errors.Is(err, ErrFenced) && s.fenced.CompareAndSwap(false, true) {
-			s.cfg.Logf("grrd: journal fenced, refusing write for %s: %v", rec.ID, err)
-			s.log.Log("journal_fenced", "job", rec.ID, "epoch", s.epoch)
+			s.log.Log("journal_fenced", "job", rec.ID, "epoch", s.epoch, "err", err.Error())
 		}
 		s.obs.journalFenced.Inc()
 		// A checkEpoch failure that is not a fence is a failed read of the

@@ -120,7 +120,7 @@ func TestMetricsEndpointAbsentWithoutRegistry(t *testing.T) {
 func backoffSchedule(s *Server, n int) []time.Duration {
 	out := make([]time.Duration, n)
 	for i := range out {
-		out[i] = s.backoff(1)
+		out[i] = s.backoff.Delay(1)
 	}
 	return out
 }

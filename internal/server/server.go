@@ -197,6 +197,10 @@ type Server struct {
 	retryAfterDrain string
 	retryAfterDisk  string
 
+	// backoff spaces a failed job's attempts (RetryBase, RetryMax,
+	// RetrySeed).
+	backoff *Backoff
+
 	// diskDegraded latches true when a journal write fails with a disk
 	// errno (see disk.go) and clears when the self-probe succeeds.
 	diskDegraded atomic.Bool
@@ -221,7 +225,6 @@ type Server struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
 	seq  int
-	rng  *rand.Rand
 	// idle wakes transitions waiting for a job's latch (Job.busy); work
 	// wakes workers waiting for the run queue. Both use mu.
 	idle *sync.Cond
@@ -308,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 		retryAfterDisk:  retryAfterSeconds(cfg.DiskProbeEvery),
 		jobs:            make(map[string]*Job),
 		retained:        make(map[string]*retainedRun),
-		rng:             rand.New(rand.NewSource(cfg.RetrySeed)),
+		backoff:         NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		capacity:        depth,
 		queueWait:       obs.NewEWMA(0.3),
 		diskLat:         obs.NewEWMA(0.3),
@@ -387,7 +390,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	if err := s.admissionClosed(); err != nil {
 		return Status{}, err
 	}
-	budget, err := validateDeadline(spec.DeadlineMs)
+	budget, err := ValidateDeadline(spec.DeadlineMs)
 	if err != nil {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
@@ -965,7 +968,7 @@ func (s *Server) retryOrFail(j *Job, attempt int, cause error, causeTag string) 
 		s.fail(j, fmt.Errorf("attempt %d/%d: %w", attempt, s.cfg.MaxAttempts, cause))
 		return
 	}
-	d := s.backoff(attempt)
+	d := s.backoff.Delay(attempt)
 	_, err := s.transition(j, evRetry, func(j *Job) { j.Err = cause.Error() },
 		"cause", causeTag, "backoff", d.String(), "err", cause.Error())
 	switch {
@@ -993,21 +996,36 @@ func (s *Server) retryOrFail(j *Job, attempt int, cause error, causeTag string) 
 	s.obs.retry(causeTag)
 }
 
-// backoff computes the jittered delay before retry attempt+1:
-// RetryBase·2^(attempt-1) capped at RetryMax, uniformly jittered down
-// to half that, so synchronized failures don't retry in lockstep.
-func (s *Server) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryBase << (attempt - 1)
-	if d > s.cfg.RetryMax || d <= 0 {
-		d = s.cfg.RetryMax
+// Backoff is the jittered exponential retry delay: grrd waits it
+// between job attempts, the fleet coordinator between forwarding
+// attempts. It is safe for concurrent use.
+type Backoff struct {
+	base, max time.Duration
+	mu        sync.Mutex
+	rng       *rand.Rand
+}
+
+// NewBackoff builds a Backoff whose jitter draws come from seed, so a
+// seeded schedule replays exactly.
+func NewBackoff(base, max time.Duration, seed int64) *Backoff {
+	return &Backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Delay computes the jittered delay before retry attempt+1:
+// base·2^(attempt-1) capped at max, uniformly jittered down to half
+// that, so synchronized failures don't retry in lockstep.
+func (b *Backoff) Delay(attempt int) time.Duration {
+	d := b.base << (attempt - 1)
+	if d > b.max || d <= 0 {
+		d = b.max
 	}
 	half := int64(d / 2)
 	if half <= 0 {
 		return d
 	}
-	s.mu.Lock()
-	jit := s.rng.Int63n(half + 1)
-	s.mu.Unlock()
+	b.mu.Lock()
+	jit := b.rng.Int63n(half + 1)
+	b.mu.Unlock()
 	return time.Duration(half + jit)
 }
 
