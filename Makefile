@@ -1,21 +1,23 @@
 # Repo-wide checks. `make check` is what CI's default job (and
 # pre-commit discipline) runs: vet, build everything, the full test
-# suite, the metric-name lint, plus a staticcheck pass and a
-# vulnerability scan when those tools are available (each needs the
-# tool and, for govulncheck, network access, so both are skipped,
-# loudly, where missing). The race detector runs outside the default
-# target so it stays fast: CI's race job covers the packages where
-# goroutines meet shared state (internal/core's context-cancel flag,
-# internal/experiment's Table1Parallel, and all of internal/server,
-# whose workers, retry timers, disk probe and API calls meet in the
-# job lifecycle), and `make race` is the full-suite version for local
-# soaks.
+# suite, the metric-name lint, the gofmt gate over every tracked Go
+# file, plus a staticcheck pass and a vulnerability scan when those
+# tools are available (each needs the tool and, for govulncheck,
+# network access, so both are skipped, loudly, where missing). The
+# race detector runs outside the default target so it stays fast: CI's
+# race job covers the packages where goroutines meet shared state
+# (internal/core's context-cancel flag, internal/experiment's
+# Table1Parallel, all of internal/server, whose workers, retry timers,
+# disk probe and API calls meet in the job lifecycle, and the short
+# tests of internal/fleet, whose sweep, handlers and claims meet in the
+# coordinator's job table), and `make race` is the full-suite version
+# for local soaks.
 
 GO ?= go
 
-.PHONY: check vet build test race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
+.PHONY: check vet build test fmt race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
 
-check: vet build test lint-metrics staticcheck vulncheck
+check: vet build test lint-metrics fmt staticcheck vulncheck
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +30,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# gofmt over the tracked Go files must print nothing.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt: not formatted:"; echo "$$out"; exit 1; fi
 
 # The fleet chaos soak under the race detector: four workers plus a
 # coordinator in one process, scripted partitions, a heartbeat-muted

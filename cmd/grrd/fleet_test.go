@@ -25,7 +25,6 @@ func startCoordinator(t *testing.T) (*fleet.Coordinator, string) {
 		HeartbeatMiss:  3,
 		RetryBase:      5 * time.Millisecond,
 		RetryMax:       50 * time.Millisecond,
-		Logf:           t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {

@@ -127,6 +127,7 @@ func run() int {
 	}
 
 	reg := obs.NewRegistry()
+	logger := obs.NewLogger(os.Stderr)
 	cfg := server.Config{
 		NodeName:        *nodeName,
 		Workers:         *workers,
@@ -142,10 +143,7 @@ func run() int {
 		DiskProbeEvery:  *diskProbe,
 		MaxBodyBytes:    *maxBody,
 		Metrics:         reg,
-		Log:             obs.NewLogger(os.Stderr),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Log:             logger,
 	}
 	if *joinURL != "" {
 		// Hedge commits arbitrate through the coordinator: before a
@@ -200,9 +198,7 @@ func run() int {
 			Coordinator: *joinURL,
 			Server:      s,
 			Every:       *hbEvery,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
+			Log:         logger,
 		})
 		var actx context.Context
 		actx, agentCancel = context.WithCancel(context.Background())
@@ -286,9 +282,6 @@ func runCoordinator(listen string, hbEvery time.Duration, hbMiss int,
 		SlowFactor:     slowFactor,
 		Metrics:        reg,
 		Log:            obs.NewLogger(os.Stderr),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
 	})
 	defer c.Close()
 

@@ -147,8 +147,8 @@ var optionFields = []optionField{
 // that no longer mean anything. ReadSnapshot and ApplyOption still
 // accept them, so old journals and old clients keep working, and ignore
 // their values; OptionNames and OptionInts leave them out, so they
-// never split a fleet placement key. workers was the intra-board worker
-// count, which never changed routed output.
+// never split the resolved option vector. workers was the intra-board
+// worker count, which never changed routed output.
 var legacyOptions = []string{"workers"}
 
 // OptionNames lists the router options the snapshot codec — and the
@@ -163,11 +163,9 @@ func OptionNames() []string {
 }
 
 // OptionInts returns every recognized option's integer serialization
-// from o, in OptionNames order — the resolved option vector. The
-// fleet's placement key hashes this vector rather than the raw
-// submission map, so a spec that spells out a default keys identically
-// to one that omits it, and an algorithmic option (engine, cost
-// weights) is structurally guaranteed a slot in the key.
+// from o, in OptionNames order — the resolved option vector: a spec
+// that spells out a default resolves to the same vector as one that
+// omits it.
 func OptionInts(o *core.Options) []int64 {
 	vals := make([]int64, len(optionFields))
 	for i, f := range optionFields {

@@ -17,7 +17,9 @@ var ErrPartitioned = errors.New("faultinject: network partition")
 // net.Error shape (Timeout/Temporary) without importing net.
 type partitionError struct{ host string }
 
-func (e *partitionError) Error() string   { return fmt.Sprintf("faultinject: host %s partitioned", e.host) }
+func (e *partitionError) Error() string {
+	return fmt.Sprintf("faultinject: host %s partitioned", e.host)
+}
 func (e *partitionError) Unwrap() error   { return ErrPartitioned }
 func (e *partitionError) Timeout() bool   { return true }
 func (e *partitionError) Temporary() bool { return true }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -33,8 +34,9 @@ type AgentConfig struct {
 	// drops it on the floor. The heartbeat-loss seam — the node stays
 	// healthy, the coordinator stops hearing from it.
 	DropHeartbeat func() bool
-	// Logf receives operational lines (default: discard).
-	Logf func(format string, args ...any)
+	// Log receives the agent's events (join, fence notice, heartbeat
+	// errors). Nil is fine.
+	Log *obs.Logger
 }
 
 // Agent is the worker-side half of the fleet protocol: join the
@@ -53,9 +55,6 @@ type Agent struct {
 func NewAgent(cfg AgentConfig) *Agent {
 	if cfg.Every <= 0 {
 		cfg.Every = time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	client := cfg.Client
 	if client == nil {
@@ -86,12 +85,13 @@ func (a *Agent) Run(ctx context.Context) {
 func (a *Agent) tick(ctx context.Context) {
 	if !a.joined {
 		if err := a.post(ctx, "/join"); err != nil {
-			a.cfg.Logf("grrd: fleet join: %v (serving standalone, will retry)", err)
+			// Serving standalone meanwhile; the next tick retries.
+			a.cfg.Log.Log("agent_join_failed", "coordinator", a.cfg.Coordinator, "err", err.Error())
 			return
 		}
 		a.joined = true
 		a.gone = false
-		a.cfg.Logf("grrd: joined fleet at %s as %s", a.cfg.Coordinator, a.cfg.Node)
+		a.cfg.Log.Log("agent_joined", "coordinator", a.cfg.Coordinator, "node", a.cfg.Node)
 		return
 	}
 	if a.cfg.DropHeartbeat != nil && a.cfg.DropHeartbeat() {
@@ -106,13 +106,13 @@ func (a *Agent) tick(ctx context.Context) {
 		// stop pestering the coordinator and say why once.
 		if !a.gone {
 			a.gone = true
-			a.cfg.Logf("grrd: fleet says this node is fenced; local journal writes will be refused")
+			a.cfg.Log.Log("agent_fenced", "node", a.cfg.Node)
 		}
 	case errors.Is(err, errUnknown):
 		// Coordinator restarted and lost its view; re-join next tick.
 		a.joined = false
 	default:
-		a.cfg.Logf("grrd: fleet heartbeat: %v", err)
+		a.cfg.Log.Log("agent_heartbeat_failed", "err", err.Error())
 	}
 }
 

@@ -53,7 +53,6 @@ func TestFleetChaosSoak(t *testing.T) {
 		RetryBase:     2 * time.Millisecond,
 		RetryMax:      20 * time.Millisecond,
 		Transport:     part.RoundTripper(nil),
-		Logf:          t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())
 	defer func() {
@@ -78,7 +77,6 @@ func TestFleetChaosSoak(t *testing.T) {
 			JournalDir:  t.TempDir(),
 			RetryBase:   time.Millisecond,
 			RetryMax:    20 * time.Millisecond,
-			Logf:        t.Logf,
 		}
 	}
 	names := []string{"n1", "n2", "n3", "n4"}

@@ -29,7 +29,6 @@ func TestFleetRoutesAroundDiskDegradedNode(t *testing.T) {
 	c := New(Config{
 		HeartbeatEvery: 25 * time.Millisecond,
 		HeartbeatMiss:  40, // failover off: this test is about disk posture, not fencing
-		Logf:           t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())
 	defer func() {
@@ -51,7 +50,7 @@ func TestFleetRoutesAroundDiskDegradedNode(t *testing.T) {
 	t.Cleanup(blk.Release)
 	var first atomic.Bool
 	bravo := startNode(t, "bravo", ts.URL, server.Config{
-		QueueDepth: 4, JournalDir: bravoDir, Logf: t.Logf,
+		QueueDepth: 4, JournalDir: bravoDir,
 		DiskProbeEvery: 25 * time.Millisecond,
 		BoardHook: func(b *board.Board) {
 			if first.CompareAndSwap(false, true) {
@@ -83,7 +82,7 @@ func TestFleetRoutesAroundDiskDegradedNode(t *testing.T) {
 
 	// A healthy peer joins. The coordinator must see bravo's posture...
 	alpha := startNode(t, "alpha", ts.URL, server.Config{
-		QueueDepth: 4, JournalDir: t.TempDir(), Logf: t.Logf,
+		QueueDepth: 4, JournalDir: t.TempDir(),
 	}, nil, nil)
 	nodeView := func(name string) (server.Load, bool) {
 		for _, n := range c.Nodes() {

@@ -1,10 +1,10 @@
 // Package fleet turns a set of grrd daemons into one fault-tolerant
 // routing service. A Coordinator fronts N worker nodes:
 //
-//   - jobs are admitted at the coordinator and placed by rendezvous
-//     hashing over the live, unsaturated nodes, then forwarded with
-//     bounded retry and jittered exponential backoff (server.Backoff,
-//     the one grrd spaces its own job retries with);
+//   - jobs are admitted at the coordinator and placed on the node with
+//     the fewest jobs in flight, then forwarded with bounded retry and
+//     jittered exponential backoff (server.Backoff, the one grrd spaces
+//     its own job retries with);
 //   - workers heartbeat their occupancy (the server.Load report); a
 //     node that misses its deadline is FENCED — its journal epoch is
 //     bumped with the fenced marker, so a zombie that was merely
@@ -68,10 +68,9 @@ type Config struct {
 	// the seam the chaos tests wire a faultinject.Partition into. Nil
 	// uses http.DefaultTransport.
 	Transport http.RoundTripper
-	// Logf receives operational log lines (default: discard).
-	Logf func(format string, args ...any)
-	// Log, when set, receives structured fleet-lifecycle lines (join,
-	// heartbeat-miss, fence, handoff, steal). Nil is fine.
+	// Log, when set, receives the coordinator's events (join, fence,
+	// handoff, steal, hedge, and the errors on those paths). Nil is
+	// fine.
 	Log *obs.Logger
 	// Metrics, when set, is the registry the coordinator publishes
 	// fleet series into (and serves at /metrics).
@@ -109,9 +108,6 @@ func (c *Config) setDefaults() {
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 3
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 }
 
 // NodeView is the exported name of the coordinator's per-worker state,
@@ -133,6 +129,9 @@ type node struct {
 	Slow bool `json:"slow,omitempty"`
 
 	lastBeat time.Time
+	// sent counts the jobs the coordinator has delivered to the node
+	// since its last heartbeat, which Load.Live does not show yet.
+	sent int
 	// fwd tracks coordinator-observed forward latency to this node
 	// (seconds) — the one fail-slow signal the node cannot misreport.
 	fwd *obs.EWMA
@@ -141,18 +140,37 @@ type node struct {
 // alive reports whether the node is scheduling-eligible at all.
 func (n *node) alive() bool { return !n.Fenced }
 
-// assignment tracks where a job lives and, when known, its placement
-// key, which orders the candidates for a hedge copy.
-type assignment struct {
-	node string
-	key  uint64 // 0 = unknown (recovered jobs lose theirs; harmless)
+// inFlight is the node's jobs in flight as the coordinator knows them:
+// the live count of its last heartbeat plus what was delivered since.
+func (n *node) inFlight() int { return n.Load.Live + n.sent }
+
+// jobEntry is everything the coordinator knows about one job.
+type jobEntry struct {
+	// copies names the node of each copy: the primary (no token, or
+	// tokenPrimary once armed) and the hedge copy (tokenHedge). "" when
+	// there is no such copy.
+	copies [2]string
 	// created is when the coordinator placed the job (zero for jobs it
-	// learned about through recovery); the hedge trigger and the
-	// completion-latency window measure from it.
+	// learned about through a steal or recovery); the hedge trigger and
+	// the completion-latency window measure from it.
 	created time.Time
-	// deadline is the job's absolute deadline as of admission here;
-	// zero = none. Hedging a job whose deadline passed is pointless.
+	// deadline is the job's absolute deadline; zero = none. Hedging a
+	// job whose deadline passed is pointless.
 	deadline time.Time
+	// claim is the first claimant of the job's commit; zero until a copy
+	// claims.
+	claim copyRef
+	// result is the job's terminal status; nil while the job is live.
+	// It outlives the node that computed it.
+	result *server.Status
+}
+
+// copySlot is the jobEntry.copies index of the copy a token marks.
+func copySlot(token uint64) int {
+	if token == tokenHedge {
+		return 1
+	}
+	return 0
 }
 
 // Coordinator is the fleet's front door and failure detector.
@@ -167,11 +185,8 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	nodes   map[string]*node
-	assign  map[string]assignment    // jobID → owner
-	results map[string]server.Status // terminal statuses (survive node death)
-	pending []*server.Job            // recovered/stolen records awaiting a home
-	hedges  map[string]hedgeState    // jobID → outstanding hedge copy
-	claims  map[string]claimant      // jobID → commit-claim winner (first claimant)
+	jobs    map[string]*jobEntry
+	pending []*server.Job // recovered/stolen records awaiting a home, in arrival order
 	// window holds recent job completion latencies (seconds); its p95
 	// sets the hedge delay once enough samples exist.
 	window *obs.Window
@@ -192,10 +207,7 @@ func New(cfg Config) *Coordinator {
 		log:     cfg.Log,
 		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		nodes:   make(map[string]*node),
-		assign:  make(map[string]assignment),
-		results: make(map[string]server.Status),
-		hedges:  make(map[string]hedgeState),
-		claims:  make(map[string]claimant),
+		jobs:    make(map[string]*jobEntry),
 		window:  obs.NewWindow(256),
 		stop:    make(chan struct{}),
 	}
@@ -255,7 +267,7 @@ func (c *Coordinator) Heartbeat(name string, epoch uint64, load server.Load) err
 		return fmt.Errorf("%w: %s (epoch %d, fleet has %d)", errFencedNode, name, epoch, n.Epoch)
 	}
 	n.lastBeat = time.Now()
-	n.Load = load
+	n.Load, n.sent = load, 0
 	c.obs.heartbeats.Inc()
 	c.publishNodeGauges()
 	return nil
@@ -332,14 +344,13 @@ func (c *Coordinator) fence(n *node) {
 	c.log.Log("fleet_fence", "node", n.Name, "epoch", epoch)
 
 	recs, err := server.LoadRecords(n.Journal, func(path string, err error) {
-		c.cfg.Logf("fleet: skipping corrupt record %s: %v", path, err)
+		c.log.Log("fleet_record_corrupt", "node", n.Name, "path", path, "err", err.Error())
 	})
 	if err != nil {
-		c.cfg.Logf("fleet: reading %s journal: %v", n.Name, err)
+		c.log.Log("fleet_recover_error", "node", n.Name, "err", err.Error())
 		return
 	}
 	c.mu.Lock()
-	terminal := make(map[string]bool)
 	for _, rec := range recs {
 		if rec.State.Live() {
 			c.pending = append(c.pending, rec)
@@ -350,24 +361,18 @@ func (c *Coordinator) fence(n *node) {
 		}
 		if rec.State.Terminal() {
 			// The node is gone but its answers are not: serve them from here.
-			terminal[rec.ID] = true
 			c.noteTerminalLocked(rec.ID, rec.Status())
 		}
 	}
 	// A commit claim won by the fenced node is void unless its journal
 	// actually holds the terminal record: the epoch fence guarantees it
 	// can never write one now, so releasing the claim lets the surviving
-	// copy (or a re-homed one) win and finish the job. Outstanding
-	// hedges on the fenced node are forgotten the same way — their live
-	// records are already on the pending list above.
-	for id, w := range c.claims {
-		if w.node == n.Name && !terminal[id] {
-			delete(c.claims, id)
-		}
-	}
-	for id, h := range c.hedges {
-		if h.node == n.Name {
-			delete(c.hedges, id)
+	// copy (or a re-homed one) win and finish the job. A copy slot
+	// naming the fenced node keeps it until deliverPending re-homes the
+	// copy's live record from the pending list above.
+	for _, e := range c.jobs {
+		if e.claim.node == n.Name && e.result == nil {
+			e.claim = copyRef{}
 		}
 	}
 	c.obs.pendingGauge.Set(int64(len(c.pending)))
@@ -388,15 +393,10 @@ func (c *Coordinator) deliverPending() {
 		target, err := c.handoff(rec)
 		if err != nil {
 			keep = append(keep, rec)
-			c.cfg.Logf("fleet: no home for %s yet: %v", rec.ID, err)
+			c.log.Log("fleet_handoff_wait", "job", rec.ID, "err", err.Error())
 			continue
 		}
-		c.mu.Lock()
-		a := c.assign[rec.ID]
-		a.node = target
-		a.deadline = rec.Deadline // the record carries the end-to-end budget
-		c.assign[rec.ID] = a
-		c.mu.Unlock()
+		c.moveCopy(rec.ID, target, rec.HedgeToken, rec.Deadline, time.Time{})
 		c.obs.handoffs.Inc()
 		c.log.Log("fleet_handoff", "job", rec.ID, "to", target, "attempt", rec.Attempt)
 	}
@@ -453,7 +453,7 @@ func (c *Coordinator) stealOnce() {
 
 	rec, err := c.stealFrom(donorAddr)
 	if err != nil {
-		c.cfg.Logf("fleet: stealing from %s: %v", donorName, err)
+		c.log.Log("fleet_steal_error", "from", donorName, "err", err.Error())
 		return
 	}
 	if rec == nil {
@@ -472,30 +472,54 @@ func (c *Coordinator) stealOnce() {
 		}
 		return
 	}
-	c.mu.Lock()
-	a := c.assign[rec.ID]
-	a.node = target
-	a.deadline = rec.Deadline
-	c.assign[rec.ID] = a
-	c.mu.Unlock()
+	c.moveCopy(rec.ID, target, rec.HedgeToken, rec.Deadline, time.Time{})
 	c.obs.steals.Inc()
 	c.log.Log("fleet_steal", "job", rec.ID, "from", donorName, "to", thiefName)
 }
 
-// candidates returns scheduling-eligible nodes for a job key, best
-// first: ready nodes by descending rendezvous score, then saturated
-// nodes (they shed load themselves, but they are alive and their
-// refusal carries a Retry-After worth propagating). Draining, fenced
-// and disk-degraded nodes never appear — the last would only answer
-// 507, so admissions route around it until its self-probe reports the
-// disk healed and its heartbeat turns ready again.
-// A slow node is demoted, not excluded: every healthy ready node
-// outranks every slow ready node, and slow ready nodes still outrank
-// saturated ones — slow capacity beats no capacity. Within each tier
-// the order is deterministic: descending rendezvous score, node name
-// breaking exact score ties (a regression test pins this — equal-load,
-// equal-slot fleets must place identically on every coordinator).
-func (c *Coordinator) candidates(key uint64) []*node {
+// moveCopy records that the copy of job id carrying token now runs on
+// node, creating the job's entry on first sight, and counts the job
+// among those delivered to node since its last heartbeat. Placement,
+// hedge launch, steal and pending delivery all record here; placement
+// alone passes the time it placed the job, which starts the hedge
+// clock.
+func (c *Coordinator) moveCopy(id, nodeName string, token uint64, deadline, placed time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entryLocked(id)
+	e.copies[copySlot(token)] = nodeName
+	e.deadline = deadline
+	if !placed.IsZero() {
+		e.created = placed
+	}
+	if n, ok := c.nodes[nodeName]; ok {
+		n.sent++
+	}
+}
+
+// entryLocked returns job id's entry, creating it on first sight.
+// Callers hold mu.
+func (c *Coordinator) entryLocked(id string) *jobEntry {
+	e, ok := c.jobs[id]
+	if !ok {
+		e = &jobEntry{}
+		c.jobs[id] = e
+	}
+	return e
+}
+
+// candidates returns the scheduling-eligible nodes, best first, in
+// three tiers: healthy ready nodes, then slow ready nodes, then
+// saturated nodes (they shed load themselves, but they are alive and
+// their refusal carries a Retry-After worth propagating). A slow node
+// is demoted, not excluded: slow capacity beats no capacity. Draining,
+// fenced and disk-degraded nodes never appear — the last would only
+// answer 507, so admissions route around it until its self-probe
+// reports the disk healed and its heartbeat turns ready again.
+// Within a tier, fewer jobs in flight come first (join the shortest
+// queue), and the node name breaks ties: two coordinators looking at
+// the same fleet walk candidates identically.
+func (c *Coordinator) candidates() []*node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var ready, slow, saturated []*node
@@ -514,27 +538,18 @@ func (c *Coordinator) candidates(key uint64) []*node {
 			saturated = append(saturated, n)
 		}
 	}
-	byScore := func(list []*node) {
+	byLoad := func(list []*node) {
 		sort.Slice(list, func(a, b int) bool {
-			return candidateLess(list[a].Name, list[b].Name,
-				rendezvous(list[a].Name, key), rendezvous(list[b].Name, key))
+			if fa, fb := list[a].inFlight(), list[b].inFlight(); fa != fb {
+				return fa < fb
+			}
+			return list[a].Name < list[b].Name
 		})
 	}
-	byScore(ready)
-	byScore(slow)
-	byScore(saturated)
+	byLoad(ready)
+	byLoad(slow)
+	byLoad(saturated)
 	return append(append(ready, slow...), saturated...)
-}
-
-// candidateLess is the within-tier candidate order: descending
-// rendezvous score, node name breaking exact score ties. The tiebreak
-// is part of the placement contract — two coordinators looking at the
-// same fleet must walk candidates identically.
-func candidateLess(nameA, nameB string, scoreA, scoreB uint64) bool {
-	if scoreA != scoreB {
-		return scoreA > scoreB
-	}
-	return nameA < nameB
 }
 
 // sleep waits d or until the coordinator stops.

@@ -76,105 +76,6 @@ func oracle(t *testing.T, spec server.JobSpec) uint64 {
 	return b.Fingerprint()
 }
 
-func TestSpecKey(t *testing.T) {
-	a := buildSpec(t, 1)
-	if specKey(a) != specKey(buildSpec(t, 1)) {
-		t.Error("identical specs key differently")
-	}
-	if specKey(a) == specKey(buildSpec(t, 2)) {
-		t.Error("different designs share a key")
-	}
-	b := buildSpec(t, 1)
-	b.Options["radius"] = 3
-	if specKey(a) == specKey(b) {
-		t.Error("different options share a key")
-	}
-	c := buildSpec(t, 1)
-	c.Conns = "synthetic"
-	if specKey(a) == specKey(c) {
-		t.Error("different conns share a key")
-	}
-}
-
-// TestSpecKeyEngine: the search engine (and every other algorithmic
-// option) is part of the placement key, and the key hashes the
-// resolved option vector, so two spellings of one routing problem
-// place on the same node and two different problems key apart.
-func TestSpecKeyEngine(t *testing.T) {
-	classic := buildSpec(t, 1)
-	goal := buildSpec(t, 1)
-	goal.Options["engine"] = int64(core.EngineGoal)
-	if specKey(classic) == specKey(goal) {
-		t.Fatal("classic and goal engine requests share a key")
-	}
-
-	// Cost options are algorithmic too.
-	cost := buildSpec(t, 1)
-	cost.Options["cost"] = 1
-	if specKey(classic) == specKey(cost) {
-		t.Error("different cost functions share a key")
-	}
-
-	// The key hashes the RESOLVED vector: spelling out a default is the
-	// same problem as omitting it, and must key the same.
-	explicit := buildSpec(t, 1)
-	explicit.Options["engine"] = int64(core.EngineClassic)
-	if specKey(classic) != specKey(explicit) {
-		t.Error("explicit default engine keys differently from an absent one")
-	}
-
-	// "workers" is a legacy option name, accepted and ignored: it never
-	// changed routed output, so it must not split the key.
-	legacy := buildSpec(t, 1)
-	legacy.Options["workers"] = 4
-	if specKey(classic) != specKey(legacy) {
-		t.Error("legacy workers option keys differently from an absent one")
-	}
-
-	// Unknown option names (the node rejects them with a 400) must not
-	// alias a valid spec.
-	bogus := buildSpec(t, 1)
-	bogus.Options["engin"] = int64(core.EngineGoal) // misspelled
-	if specKey(bogus) == specKey(classic) || specKey(bogus) == specKey(goal) {
-		t.Error("unknown option name aliases a valid spec")
-	}
-}
-
-// TestRendezvousStability: removing one node only moves the keys that
-// node owned — every other key keeps its winner. This is the property
-// that makes failover cheap: the survivors' assignments don't churn.
-func TestRendezvousStability(t *testing.T) {
-	nodes := []string{"a", "b", "c", "d"}
-	moved, kept := 0, 0
-	for key := uint64(0); key < 500; key++ {
-		before := rendezvousWinner(key, nodes)
-		after := rendezvousWinner(key, nodes[:3]) // drop "d"
-		if before == "d" {
-			moved++
-			continue
-		}
-		if before != after {
-			t.Fatalf("key %d moved from %s to %s though its node survived", key, before, after)
-		}
-		kept++
-	}
-	if moved == 0 || kept == 0 {
-		t.Fatalf("degenerate distribution: moved %d kept %d of 500", moved, kept)
-	}
-}
-
-// rendezvousWinner is the node of pool with the highest rendezvous
-// score for key: where placement puts the job when every node is ready.
-func rendezvousWinner(key uint64, pool []string) string {
-	best, bestScore := "", uint64(0)
-	for _, n := range pool {
-		if s := rendezvous(n, key); best == "" || s > bestScore {
-			best, bestScore = n, s
-		}
-	}
-	return best
-}
-
 // fleetNode is one in-process worker: a real server.Server behind a
 // real listener, with a running Agent.
 type fleetNode struct {
@@ -310,7 +211,6 @@ func TestWorkStealingRebalances(t *testing.T) {
 	c := New(Config{
 		HeartbeatEvery: 25 * time.Millisecond,
 		HeartbeatMiss:  40, // failover off: this test is about stealing, not fencing
-		Logf:           t.Logf,
 	})
 	ts := httptest.NewServer(c.Handler())
 	defer func() {
@@ -326,7 +226,7 @@ func TestWorkStealingRebalances(t *testing.T) {
 	t.Cleanup(blk.Release)
 	var first atomic.Bool
 	busyCfg := server.Config{
-		QueueDepth: 4, JournalDir: t.TempDir(), Logf: t.Logf,
+		QueueDepth: 4, JournalDir: t.TempDir(),
 		BoardHook: func(b *board.Board) {
 			if first.CompareAndSwap(false, true) {
 				b.Interpose(blk)
@@ -347,7 +247,7 @@ func TestWorkStealingRebalances(t *testing.T) {
 	// An idle peer joins; within a few sweeps the coordinator moves the
 	// queued job over and it completes there.
 	idle := startNode(t, "idle", ts.URL,
-		server.Config{QueueDepth: 4, JournalDir: t.TempDir(), Logf: t.Logf}, nil, nil)
+		server.Config{QueueDepth: 4, JournalDir: t.TempDir()}, nil, nil)
 
 	fin := waitJobDone(t, ts.URL, queued.ID, 20*time.Second)
 	blk.Release()
@@ -394,7 +294,7 @@ func TestMergeJobsIgnoresHandedOffCopy(t *testing.T) {
 // — or no nodes at all — the coordinator sheds load like a single
 // busy grrd: 429 with a Retry-After, never a hang or a 500.
 func TestCoordinatorDegradesToRetryAfter(t *testing.T) {
-	c := New(Config{HeartbeatEvery: 25 * time.Millisecond, Logf: t.Logf})
+	c := New(Config{HeartbeatEvery: 25 * time.Millisecond})
 	ts := httptest.NewServer(c.Handler())
 	defer func() {
 		ts.Close()
@@ -436,11 +336,11 @@ func TestStatusSkipsFencedOwner(t *testing.T) {
 		json.NewEncoder(w).Encode(server.Status{ID: id, State: server.StateFailed, Error: "server: journal fenced"})
 	}))
 	defer zombie.Close()
-	c := New(Config{HeartbeatEvery: time.Hour, Logf: t.Logf})
+	c := New(Config{HeartbeatEvery: time.Hour})
 	defer c.Close()
 	c.mu.Lock()
 	c.nodes["z"] = &node{Name: "z", Addr: zombie.URL, Fenced: true, lastBeat: time.Now(), fwd: obs.NewEWMA(0.3)}
-	c.assign[id] = assignment{node: "z"}
+	c.jobs[id] = &jobEntry{copies: [2]string{"z", ""}}
 	c.mu.Unlock()
 
 	rr := httptest.NewRecorder()
@@ -452,9 +352,9 @@ func TestStatusSkipsFencedOwner(t *testing.T) {
 		t.Errorf("the fenced owner was asked %d times", n)
 	}
 	c.mu.Lock()
-	st, cached := c.results[id]
+	st := c.jobs[id].result
 	c.mu.Unlock()
-	if cached {
-		t.Errorf("the fenced owner's view was cached as the result: %+v", st)
+	if st != nil {
+		t.Errorf("the fenced owner's view was cached as the result: %+v", *st)
 	}
 }

@@ -104,7 +104,7 @@ func TestFrontDoorMatchesGrrd(t *testing.T) {
 		{"identical resubmission", "/jobs", valid},
 	}
 
-	grrd, err := server.New(server.Config{JournalDir: t.TempDir(), Workers: 1, QueueDepth: 8, Logf: t.Logf})
+	grrd, err := server.New(server.Config{JournalDir: t.TempDir(), Workers: 1, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,16 +118,16 @@ func TestFrontDoorMatchesGrrd(t *testing.T) {
 
 	// Failover off: this test is about admission, not fencing, and a
 	// 16 MiB body is slow to decode under -race.
-	c := New(Config{HeartbeatEvery: time.Second, HeartbeatMiss: 60, Logf: t.Logf})
+	c := New(Config{HeartbeatEvery: time.Second, HeartbeatMiss: 60})
 	coordTS := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		coordTS.Close()
 		c.Close()
 	})
 	for _, name := range []string{"a", "b"} {
-		startNode(t, name, coordTS.URL, server.Config{JournalDir: t.TempDir(), QueueDepth: 8, Logf: t.Logf}, nil, nil)
+		startNode(t, name, coordTS.URL, server.Config{JournalDir: t.TempDir(), QueueDepth: 8}, nil, nil)
 	}
-	waitFor(t, 10*time.Second, func() bool { return len(c.candidates(0)) == 2 }, "both nodes never became schedulable")
+	waitFor(t, 10*time.Second, func() bool { return len(c.candidates()) == 2 }, "both nodes never became schedulable")
 
 	for _, tc := range cases {
 		want := postFrontDoor(t, grrdTS.URL, tc.path, tc.body)

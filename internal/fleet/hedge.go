@@ -27,14 +27,9 @@ import (
 // journals "done", and the loser is cancelled and steps aside as
 // handed_off.
 
-// hedgeState tracks one outstanding hedge copy.
-type hedgeState struct {
-	node  string
-	token uint64
-}
-
-// claimant records who won a job's commit claim.
-type claimant struct {
+// copyRef names one copy of a job: the node it runs on and the hedge
+// token it carries.
+type copyRef struct {
 	node  string
 	token uint64
 }
@@ -72,11 +67,11 @@ func (c *Coordinator) noteForward(name string, d time.Duration) {
 // and a completion-latency sample for the hedge trigger. Callers hold
 // mu.
 func (c *Coordinator) noteTerminalLocked(id string, st server.Status) {
-	_, seen := c.results[id]
-	c.results[id] = st
-	if a, ok := c.assign[id]; ok && !seen && !a.created.IsZero() {
-		c.window.Observe(time.Since(a.created).Seconds())
+	e := c.entryLocked(id)
+	if e.result == nil && !e.created.IsZero() {
+		c.window.Observe(time.Since(e.created).Seconds())
 	}
+	e.result = &st
 }
 
 // noteTerminal is noteTerminalLocked for callers not holding mu.
@@ -207,40 +202,35 @@ func (c *Coordinator) hedgeSweep() {
 	delay := c.hedgeDelay()
 	now := time.Now()
 
-	type target struct {
-		id       string
-		owner    string
-		key      uint64
-		deadline time.Time
-	}
+	type target struct{ id, owner string }
 	var due []target
 	c.mu.Lock()
-	for id, a := range c.assign {
+	for id, e := range c.jobs {
 		if len(due) >= maxHedgesPerSweep {
 			break
 		}
-		if a.created.IsZero() || now.Sub(a.created) < delay {
+		if e.created.IsZero() || now.Sub(e.created) < delay {
 			continue
 		}
-		if _, done := c.results[id]; done {
+		// Settled, claimed (only the claimant can commit now) or already
+		// hedged: nothing to launch.
+		if e.result != nil || e.claim.node != "" || e.copies[1] != "" {
 			continue
 		}
-		if _, hedged := c.hedges[id]; hedged {
-			continue
-		}
-		if !a.deadline.IsZero() && now.After(a.deadline) {
+		if !e.deadline.IsZero() && now.After(e.deadline) {
 			continue // past its deadline; a second copy helps nobody
 		}
-		n, ok := c.nodes[a.node]
+		owner := e.copies[0]
+		n, ok := c.nodes[owner]
 		if !ok || !n.alive() {
 			continue // fencing/failover owns this job's fate
 		}
-		due = append(due, target{id: id, owner: a.node, key: a.key, deadline: a.deadline})
+		due = append(due, target{id: id, owner: owner})
 	}
 	c.mu.Unlock()
 
 	for _, t := range due {
-		c.hedge(t.id, t.owner, t.key)
+		c.hedge(t.id, t.owner)
 	}
 }
 
@@ -249,7 +239,7 @@ func (c *Coordinator) hedgeSweep() {
 // record, and hand a token-2 copy to the best healthy peer. Every
 // bail-out is safe — an armed original without a hedge just claims
 // unopposed and wins.
-func (c *Coordinator) hedge(id, owner string, key uint64) {
+func (c *Coordinator) hedge(id, owner string) {
 	c.mu.Lock()
 	n, ok := c.nodes[owner]
 	var addr, journal string
@@ -274,7 +264,7 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 	// sees, both copies are gated.
 	st, armed, err := c.armClaim(addr, id, tokenPrimary)
 	if err != nil {
-		c.cfg.Logf("fleet: arming claim for %s on %s: %v", id, owner, err)
+		c.log.Log("fleet_hedge_error", "job", id, "step", "arm", "node", owner, "err", err.Error())
 		return
 	}
 	if !armed {
@@ -288,7 +278,7 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 
 	rec, err := server.LoadRecord(journal, id)
 	if err != nil {
-		c.cfg.Logf("fleet: reading %s record for hedge: %v", id, err)
+		c.log.Log("fleet_hedge_error", "job", id, "step", "read", "node", owner, "err", err.Error())
 		return
 	}
 	if !rec.State.Live() {
@@ -296,8 +286,8 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 	}
 	rec.HedgeToken = tokenHedge
 
-	// Healthiest peer first: non-slow ready nodes, never the owner.
-	for _, cand := range c.candidates(key) {
+	// The first non-slow candidate that is not the owner.
+	for _, cand := range c.candidates() {
 		c.mu.Lock()
 		name, slow := cand.Name, cand.Slow
 		c.mu.Unlock()
@@ -305,12 +295,10 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 			continue
 		}
 		if _, err := c.handoffTo(name, rec); err != nil {
-			c.cfg.Logf("fleet: hedging %s to %s: %v", id, name, err)
+			c.log.Log("fleet_hedge_error", "job", id, "step", "handoff", "node", name, "err", err.Error())
 			continue
 		}
-		c.mu.Lock()
-		c.hedges[id] = hedgeState{node: name, token: tokenHedge}
-		c.mu.Unlock()
+		c.moveCopy(id, name, rec.HedgeToken, rec.Deadline, time.Time{})
 		c.obs.hedgeLaunched.Inc()
 		c.log.Log("fleet_hedge", "job", id, "owner", owner, "hedge", name)
 		return
@@ -325,8 +313,9 @@ func (c *Coordinator) hedge(id, owner string, key uint64) {
 // restarted and lost its hedge bookkeeping.
 func (c *Coordinator) Claim(id, nodeName string, token uint64) bool {
 	c.mu.Lock()
-	if w, ok := c.claims[id]; ok {
-		win := w.node == nodeName && w.token == token
+	e := c.entryLocked(id)
+	if e.claim.node != "" {
+		win := e.claim == copyRef{node: nodeName, token: token}
 		c.mu.Unlock()
 		if win {
 			c.obs.hedgeClaimWins.Inc() // idempotent re-claim by the winner
@@ -335,26 +324,15 @@ func (c *Coordinator) Claim(id, nodeName string, token uint64) bool {
 		}
 		return win
 	}
-	c.claims[id] = claimant{node: nodeName, token: token}
-	// Repoint the assignment at the winner and find the losing copy.
-	a := c.assign[id]
-	loser := ""
-	if h, ok := c.hedges[id]; ok {
-		if h.node == nodeName {
-			loser = a.node
-		} else {
-			loser = h.node
-		}
-	} else if a.node != "" && a.node != nodeName {
-		loser = a.node
-	}
-	a.node = nodeName
-	c.assign[id] = a
+	e.claim = copyRef{node: nodeName, token: token}
+	// Cancel the other copy, and never on the winner's node: a copy
+	// handed to the other copy's node is refused there as a duplicate
+	// (409), which handoffTo counts as delivered, so both slots can name
+	// one node.
+	loser := e.copies[1-copySlot(token)]
 	var loserAddr string
-	if loser != "" {
-		if n, ok := c.nodes[loser]; ok && n.alive() {
-			loserAddr = n.Addr
-		}
+	if n, ok := c.nodes[loser]; ok && loser != nodeName && n.alive() {
+		loserAddr = n.Addr
 	}
 	c.mu.Unlock()
 
@@ -372,7 +350,7 @@ func (c *Coordinator) Claim(id, nodeName string, token uint64) bool {
 func (c *Coordinator) cancelOn(addr, nodeName, id string) {
 	resp, err := c.client.Post(addr+"/jobs/"+id+"/cancel", "application/json", nil)
 	if err != nil {
-		c.cfg.Logf("fleet: cancelling %s on %s: %v", id, nodeName, err)
+		c.log.Log("fleet_hedge_cancel_error", "job", id, "node", nodeName, "err", err.Error())
 		return
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))

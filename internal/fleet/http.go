@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -27,9 +26,10 @@ import (
 //	POST /jobs/batch  submit many; each job placed as by POST /jobs
 //	GET  /jobs      fleet-wide job list (proxied node views merged with
 //	                the coordinator's own results and pending handoffs)
-//	GET  /jobs/{id} one job, proxied to its current owner; terminal
-//	                results are served from the coordinator even after
-//	                the node that computed them is gone
+//	GET  /jobs/{id} one job, proxied to the node of its claim winner,
+//	                else of its primary copy; terminal results are
+//	                served from the coordinator even after the node
+//	                that computed them is gone
 //	POST /join      agent registration {node, addr, journal, epoch}
 //	POST /heartbeat agent liveness + load {node, epoch, load}; 410 once
 //	                the node is fenced — the zombie's cue that its jobs
@@ -54,7 +54,7 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if len(c.candidates(0)) == 0 {
+		if len(c.candidates()) == 0 {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no schedulable nodes"})
 			return
 		}
@@ -115,7 +115,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit admits one job into the fleet: grrd's own request step,
-// then rendezvous-ordered forwarding with per-node transport retries.
+// then forwarding in candidate order with per-node transport retries.
 // Admission refusals walk to the next candidate; when every node
 // refuses, the strongest Retry-After seen propagates to the client — a
 // shrunken pool looks exactly like one saturated grrd.
@@ -149,7 +149,7 @@ type placement struct {
 }
 
 // placeJob runs one submission through the fleet: grrd's deadline
-// check, then rendezvous-ordered forwarding with the per-hop deadline
+// check, then forwarding in candidate order with the per-hop deadline
 // decrement of DESIGN §14 — before every forward the job's remaining
 // budget is recomputed, so each node sees only what is actually left,
 // and a budget that dies mid-walk stops the walk with 504. A node's 400
@@ -168,8 +168,7 @@ func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 		deadline = time.Now().Add(budget)
 	}
 
-	key := specKey(spec)
-	cands := c.candidates(key)
+	cands := c.candidates()
 	retryAfter, sawDeadline := 0, false
 	for _, n := range cands {
 		hop := spec
@@ -186,9 +185,7 @@ func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 		p := c.forward(n, body)
 		switch {
 		case p.accepted:
-			c.mu.Lock()
-			c.assign[p.st.ID] = assignment{node: n.Name, key: key, created: time.Now(), deadline: deadline}
-			c.mu.Unlock()
+			c.moveCopy(p.st.ID, n.Name, 0, deadline, time.Now())
 			c.obs.forwarded.Inc()
 			c.log.Log("fleet_forward", "job", p.st.ID, "node", n.Name)
 			return p
@@ -279,7 +276,7 @@ func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 			// Back off and retry — the same classifier shape grrd applies to
 			// its own transient faults.
 			c.obs.forwardRetries.Inc()
-			c.cfg.Logf("fleet: forwarding to %s (attempt %d): %v", n.Name, attempt, err)
+			c.log.Log("fleet_forward_retry", "node", n.Name, "attempt", attempt, "err", err.Error())
 			if attempt < forwardAttempts {
 				c.sleep(c.backoff.Delay(attempt))
 			}
@@ -303,20 +300,23 @@ func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 			var e httpError
 			_ = json.NewDecoder(resp.Body).Decode(&e)
 			p.errMsg = e.Error
-			c.cfg.Logf("fleet: node %s refused job: %d %s", n.Name, resp.StatusCode, e.Error)
+			c.log.Log("fleet_forward_refused", "node", n.Name, "code", resp.StatusCode, "err", e.Error)
 		}
 		return p
 	}
 	return p
 }
 
-// handleStatus serves one job's status: the coordinator's own results
-// first (they outlive their node), then a pending-handoff synthesis,
-// then a proxy to the current owner.
+// handleStatus serves one job's status: the coordinator's own result
+// first (it outlives its node), then a pending-handoff synthesis, then
+// a proxy to the node of the claim winner — the copy that commits — or,
+// before any claim, of the primary copy.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c.mu.Lock()
-	if st, ok := c.results[id]; ok {
+	e, ok := c.jobs[id]
+	if ok && e.result != nil {
+		st := *e.result
 		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, st)
 		return
@@ -331,13 +331,16 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	a, ok := c.assign[id]
 	var addr string
 	if ok {
+		owner := e.copies[0]
+		if e.claim.node != "" {
+			owner = e.claim.node
+		}
 		// A fenced owner is never asked: its local view of a job it can
 		// no longer journal (typically "failed: journal fenced") is not
 		// an answer, and caching it would shadow the re-homed copy.
-		if n, known := c.nodes[a.node]; known && n.alive() {
+		if n, known := c.nodes[owner]; known && n.alive() {
 			addr = n.Addr
 		}
 	}
@@ -382,8 +385,10 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	var copies []server.Status
 	c.mu.Lock()
-	for _, st := range c.results {
-		copies = append(copies, st)
+	for _, e := range c.jobs {
+		if e.result != nil {
+			copies = append(copies, *e.result)
+		}
 	}
 	for _, rec := range c.pending {
 		copies = append(copies, rec.Status())
@@ -451,13 +456,10 @@ func (c *Coordinator) stealFrom(addr string) (*server.Job, error) {
 	}
 }
 
-// handoff delivers a detached record to the best available node (by
-// rendezvous over the record's ID) and returns the adopting node's
-// name.
+// handoff delivers a detached record to the first candidate that takes
+// it and returns the adopting node's name.
 func (c *Coordinator) handoff(rec *server.Job) (string, error) {
-	h := fnv.New64a()
-	h.Write([]byte(rec.ID))
-	cands := c.candidates(h.Sum64())
+	cands := c.candidates()
 	if len(cands) == 0 {
 		return "", fmt.Errorf("fleet: no schedulable node for %s", rec.ID)
 	}

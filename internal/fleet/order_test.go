@@ -8,71 +8,78 @@ import (
 	"repro/internal/server"
 )
 
-// TestCandidateOrderDeterministic pins the placement contract: for a
-// fixed fleet and key, candidates() returns one exact order — healthy
-// ready nodes by descending rendezvous score, then slow ready nodes,
-// then saturated ones, with the node name breaking exact score ties —
-// and returns it identically on every call. Two coordinators looking
-// at the same fleet must walk candidates in the same order, or
-// placement (and hedge targeting) diverges between them.
+// TestCandidateOrderDeterministic pins the placement contract:
+// candidates() returns healthy ready nodes, then slow ready nodes, then
+// saturated ones; within each tier fewer jobs in flight come first and
+// the node name breaks ties; and the order is identical on every call.
+// "In flight" is the live count of the node's last heartbeat plus the
+// jobs delivered there since, so a delivery moves a node back and its
+// next heartbeat clears the count. Two coordinators looking at the same
+// fleet must walk candidates in the same order, or placement (and hedge
+// targeting) diverges between them.
 func TestCandidateOrderDeterministic(t *testing.T) {
-	c := New(Config{HeartbeatEvery: time.Hour, Logf: t.Logf})
+	c := New(Config{HeartbeatEvery: time.Hour})
 	defer c.Close()
 
-	mk := func(name string, health string, slow, fenced bool) *node {
+	mk := func(name string, health string, live int, slow, fenced bool) *node {
 		return &node{
-			Name: name, Load: server.Load{Health: health},
+			Name: name, Load: server.Load{Health: health, Live: live},
 			Slow: slow, Fenced: fenced,
 			lastBeat: time.Now(), fwd: obs.NewEWMA(0.3),
 		}
 	}
 	c.mu.Lock()
 	for _, n := range []*node{
-		mk("alpha", server.HealthReady, false, false),
-		mk("bravo", server.HealthReady, false, false),
-		mk("carol", server.HealthReady, true, false),  // slow: demoted
-		mk("delta", server.HealthSaturated, false, false),
-		mk("echo", server.HealthReady, false, true), // fenced: excluded
-		mk("foxtrot", server.HealthDraining, false, false),
+		mk("alpha", server.HealthReady, 1, false, false),
+		mk("bravo", server.HealthReady, 0, false, false),
+		mk("charlie", server.HealthReady, 1, false, false), // ties alpha: the name decides
+		mk("carol", server.HealthReady, 0, true, false),    // slow: demoted despite its idle queue
+		mk("delta", server.HealthSaturated, 0, false, false),
+		mk("echo", server.HealthReady, 0, false, true), // fenced: excluded
+		mk("foxtrot", server.HealthDraining, 0, false, false),
 	} {
 		c.nodes[n.Name] = n
 	}
 	c.mu.Unlock()
 
-	for key := uint64(0); key < 64; key++ {
-		got := c.candidates(key)
-		names := make([]string, len(got))
-		for i, n := range got {
-			names[i] = n.Name
-		}
-		// Exactly the four schedulable nodes, no more, no less.
-		if len(names) != 4 {
-			t.Fatalf("key %d: candidates = %v, want 4 schedulable nodes", key, names)
-		}
-		// Tier walls: both healthy ready nodes before the slow one,
-		// the slow one before the saturated one.
-		if names[2] != "carol" || names[3] != "delta" {
-			t.Fatalf("key %d: tier order violated: %v", key, names)
-		}
-		// Within the healthy tier, descending rendezvous score.
-		if sa, sb := rendezvous(names[0], key), rendezvous(names[1], key); sa < sb {
-			t.Fatalf("key %d: healthy tier not score-descending: %v", key, names)
-		}
-		// Byte-for-byte repeatable.
-		again := c.candidates(key)
-		for i := range again {
-			if again[i].Name != names[i] {
-				t.Fatalf("key %d: order changed between calls: %v then %v", key, names, again)
+	expect := func(when string, want ...string) {
+		t.Helper()
+		for call := 0; call < 3; call++ { // byte-for-byte repeatable
+			var got []string
+			for _, n := range c.candidates() {
+				got = append(got, n.Name)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, call %d: candidates = %v, want %v", when, call, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, call %d: candidates = %v, want %v", when, call, got, want)
+				}
 			}
 		}
 	}
 
-	// The tie rule itself: equal scores fall back to name order, in
-	// both argument orders (a strict weak ordering, not a coin flip).
-	if !candidateLess("a", "b", 7, 7) || candidateLess("b", "a", 7, 7) {
-		t.Error("equal scores must order by name, ascending")
+	expect("by heartbeat load", "bravo", "alpha", "charlie", "carol", "delta")
+
+	// Two deliveries to bravo since its last heartbeat put it behind
+	// the nodes with one job in flight.
+	c.moveCopy("job-a", "bravo", 0, time.Time{}, time.Now())
+	c.moveCopy("job-b", "bravo", tokenHedge, time.Time{}, time.Time{})
+	expect("after two deliveries to bravo", "alpha", "charlie", "bravo", "carol", "delta")
+
+	// One delivery to alpha puts it behind charlie, its tie partner.
+	c.moveCopy("job-c", "alpha", 0, time.Time{}, time.Now())
+	expect("after one delivery to alpha", "charlie", "alpha", "bravo", "carol", "delta")
+
+	// bravo's heartbeat reports both jobs live and clears its count...
+	if err := c.Heartbeat("bravo", 0, server.Load{Health: server.HealthReady, Live: 2}); err != nil {
+		t.Fatal(err)
 	}
-	if !candidateLess("b", "a", 9, 7) || candidateLess("a", "b", 7, 9) {
-		t.Error("unequal scores must order by score, descending")
+	expect("after bravo's heartbeat", "charlie", "alpha", "bravo", "carol", "delta")
+	// ...and the next one, with both finished, brings it to the front.
+	if err := c.Heartbeat("bravo", 0, server.Load{Health: server.HealthReady}); err != nil {
+		t.Fatal(err)
 	}
+	expect("after bravo finished both", "bravo", "charlie", "alpha", "carol", "delta")
 }

@@ -82,24 +82,6 @@ type slowPhase struct {
 	sawSlow bool
 }
 
-// slowestPlacement names the node rendezvous placement favours for the
-// most of specs. Making that node the fail-slow one guarantees it is
-// handed work before the coordinator can latch its posture, whatever
-// the placement-key hash of the specs happens to be.
-func slowestPlacement(specs []server.JobSpec, names []string) string {
-	wins := make(map[string]int, len(names))
-	for _, spec := range specs {
-		wins[rendezvousWinner(specKey(spec), names)]++
-	}
-	pick := names[0]
-	for _, n := range names {
-		if wins[n] > wins[pick] {
-			pick = n
-		}
-	}
-	return pick
-}
-
 // runSlowPhase boots a fresh coordinator and four workers (one slow on
 // both CPU and disk), pushes numJobs deadline-carrying jobs through
 // sequentially, and returns the per-job latencies. Before returning it
@@ -116,7 +98,6 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			RetryBase:      2 * time.Millisecond,
 			RetryMax:       20 * time.Millisecond,
 			Hedge:          hedge,
-			Logf:           t.Logf,
 		})
 		ts := httptest.NewServer(c.Handler())
 		defer func() {
@@ -126,7 +107,10 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 
 		agentClient := &http.Client{Timeout: 10 * time.Second}
 		names := []string{"n1", "n2", "n3", "n4"}
-		slowName := slowestPlacement(specs, names)
+		// The slow node is the one an idle fleet places on first (equal
+		// load, so the first name): it is handed work before the
+		// coordinator can latch its posture.
+		slowName := names[0]
 		journals := make(map[string]string, len(names))
 		for _, nn := range names {
 			cfg := server.Config{
@@ -139,7 +123,6 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 				// Every worker arbitrates token-carrying commits through
 				// the coordinator — exactly the production wiring.
 				ClaimCommit: ClaimClient(ts.URL, nn, nil),
-				Logf:        t.Logf,
 			}
 			if nn == slowName {
 				// The fail-slow node: every board mutation stalls 2ms and

@@ -1,11 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/simfs"
 )
 
@@ -81,21 +82,15 @@ func TestServerCrashEnumeration(t *testing.T) {
 			cfg := testConfig(t)
 			cfg.JournalDir = dir
 			cfg.DiskProbeEvery = -1
-			var corrupt []string
-			cfg.Logf = func(format string, args ...any) {
-				line := fmt.Sprintf(format, args...)
-				if strings.Contains(line, "quarantining corrupt job record") {
-					corrupt = append(corrupt, line)
-				}
-				t.Logf("recovery[%v@%d]: %s", mode, n, line)
-			}
+			var log syncBuffer
+			cfg.Log = obs.NewLogger(&log)
 			srv, err := New(cfg)
 			if err != nil {
 				t.Fatalf("mode %v crash@%d: recovery refused the journal: %v", mode, n, err)
 			}
-			if len(corrupt) > 0 {
-				t.Fatalf("mode %v crash@%d: recovery saw corrupt records (atomic writes must prevent this): %q",
-					mode, n, corrupt)
+			if recovery := log.Bytes(); bytes.Contains(recovery, []byte("event=journal_record_corrupt")) {
+				t.Fatalf("mode %v crash@%d: recovery saw corrupt records (atomic writes must prevent this):\n%s",
+					mode, n, recovery)
 			}
 
 			for _, id := range ids {

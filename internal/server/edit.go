@@ -186,7 +186,7 @@ func (s *Server) rerouteIncremental(run *boardio.Snapshot, j *Job) (*board.Board
 		o.Paranoid = run.Opts.Paranoid
 	})
 	if err != nil {
-		s.cfg.Logf("grrd: %s: incremental reroute unavailable (%v); routing from scratch", j.ID, err)
+		s.log.Log("incremental_fallback", "job", j.ID, "err", err.Error())
 		return nil, nil, false
 	}
 	return b2, r2, true

@@ -132,7 +132,7 @@ func TestStealAndAdoptResume(t *testing.T) {
 	// recovery requeues live jobs, and this one is not live here.
 	a2, err := New(Config{
 		Workers: 1, QueueDepth: 4, JournalDir: cfgA.JournalDir,
-		RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond, Logf: t.Logf,
+		RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestJournalFencing(t *testing.T) {
 
 	// A restart on the fenced directory is refused outright: the jobs
 	// now live elsewhere, and re-running them here would duplicate work.
-	if _, err := New(Config{JournalDir: cfg.JournalDir, Logf: t.Logf}); !errors.Is(err, ErrFenced) {
+	if _, err := New(Config{JournalDir: cfg.JournalDir}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("New on fenced dir: err = %v, want ErrFenced", err)
 	}
 }

@@ -219,7 +219,7 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 		case err != nil:
 			// A failed record can never violate done-in-exactly-one; if a
 			// peer's copy later wins, its journal is authoritative (§14).
-			s.cfg.Logf("grrd: %s failing without a commit claim: %v", j.ID, err)
+			s.log.Log("job_claim_error", "job", j.ID, "err", err.Error())
 		case !win:
 			ev, set, kv = evSupersede, superseding, []any{"reason", "lost the hedge commit race"}
 			e = &edges[ev]
@@ -236,7 +236,7 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 	err := s.saveJob(&rec)
 	unjournaled := false
 	if err != nil {
-		s.cfg.Logf("grrd: journaling %s as %s: %v", j.ID, e.to.state, err)
+		s.log.Log("journal_write_error", "job", j.ID, "state", string(e.to.state), "err", err.Error())
 		degraded := s.diskDegraded.Load() && !errors.Is(err, ErrFenced)
 		switch {
 		case e.write == writeMust, e.write == writeHandoff && !degraded:

@@ -950,7 +950,7 @@ func runSchedule(t *testing.T, seed int64, steps int, specs []JobSpec) {
 		Workers: 1 + int(seed%2), QueueDepth: 3, JournalDir: t.TempDir(), MaxAttempts: 3,
 		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, RetrySeed: seed,
 		DiskProbeEvery: 5 * time.Millisecond, BoardHook: sc.boardHook, ClaimCommit: sc.claim,
-		Log: obs.NewLogger(sc.log), Logf: func(string, ...any) {},
+		Log: obs.NewLogger(sc.log),
 	}
 	prev := simfs.Swap(sc.inj)
 	defer simfs.Swap(prev)

@@ -99,11 +99,10 @@ type Config struct {
 	// dies exactly as a real kill would; when nil the crash is treated
 	// as one more transient failure and retried.
 	OnCrash func(faultinject.Crash)
-	// Logf receives operational log lines (default: discard).
-	Logf func(format string, args ...any)
-	// Log, when set, receives structured job-lifecycle lines (submit →
-	// running → retrying → done/failed) stamped with job IDs. Nil is
-	// fine: the obs.Logger is nil-safe.
+	// Log, when set, receives the daemon's events: job-lifecycle lines
+	// (submit → running → retrying → done/failed) stamped with job IDs,
+	// and the journal, disk and drain events. Nil is fine: the
+	// obs.Logger is nil-safe.
 	Log *obs.Logger
 	// Metrics, when set, is the registry the daemon publishes into:
 	// queue depth, slots in use, admission rejects, retries by cause,
@@ -173,9 +172,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if c.JournalDir == "" {
 		return errors.New("server: Config.JournalDir is required")
@@ -282,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 	simfs.Current().Remove(filepath.Join(cfg.JournalDir, diskProbeFile))
 	recovered, scan, err := loadJournal(cfg.JournalDir, func(path string, err error) {
 		o.journalCorrupt.Inc()
-		cfg.Logf("grrd: quarantining corrupt job record %s: %v", path, err)
+		cfg.Log.Log("journal_record_corrupt", "path", path, "err", err.Error())
 	})
 	if err != nil {
 		return nil, err
@@ -290,8 +286,7 @@ func New(cfg Config) (*Server, error) {
 	o.diskTmpCleaned.Add(int64(scan.tmpCleaned))
 	o.journalQuarantined.Add(int64(scan.quarantined))
 	if scan.tmpCleaned > 0 || scan.quarantined > 0 {
-		cfg.Logf("grrd: journal scan: %d stale tmp removed, %d corrupt records quarantined",
-			scan.tmpCleaned, scan.quarantined)
+		cfg.Log.Log("journal_scan", "tmp_removed", scan.tmpCleaned, "quarantined", scan.quarantined)
 	}
 	live := 0
 	for _, j := range recovered {

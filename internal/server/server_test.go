@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/boardio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/simfs"
 	"repro/internal/workload"
 )
@@ -49,7 +49,6 @@ func testConfig(t *testing.T) Config {
 		JournalDir: t.TempDir(),
 		RetryBase:  time.Millisecond,
 		RetryMax:   20 * time.Millisecond,
-		Logf:       t.Logf,
 	}
 }
 
@@ -550,14 +549,8 @@ func TestRecoverySkipsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var warned []string
-	cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		warned = append(warned, format)
-		mu.Unlock()
-		t.Logf(format, args...)
-	}
+	var log syncBuffer
+	cfg.Log = obs.NewLogger(&log)
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -569,11 +562,8 @@ func TestRecoverySkipsCorruptRecord(t *testing.T) {
 	if _, ok := s2.Status("job-000999"); ok {
 		t.Error("corrupt record resurrected as a job")
 	}
-	mu.Lock()
-	n := len(warned)
-	mu.Unlock()
-	if n == 0 {
-		t.Error("corrupt record skipped silently")
+	if !bytes.Contains(log.Bytes(), []byte("event=journal_record_corrupt")) {
+		t.Errorf("corrupt record skipped silently; log:\n%s", log.Bytes())
 	}
 }
 

@@ -36,7 +36,6 @@ func TestServerSoak(t *testing.T) {
 		MaxAttempts: 12,
 		RetryBase:   time.Millisecond,
 		RetryMax:    20 * time.Millisecond,
-		Logf:        t.Logf,
 	}
 
 	// Baselines first, before fault injection is wired in: one direct
