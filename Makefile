@@ -1,7 +1,8 @@
 # Repo-wide checks. `make check` is what CI's default job (and
 # pre-commit discipline) runs: vet, build everything, the full test
 # suite, the metric-name lint, the gofmt gate over every tracked Go
-# file, plus a staticcheck pass and a vulnerability scan when those
+# file, a vet and short test of the benchmark module, plus a
+# staticcheck pass and a vulnerability scan when those
 # tools are available (each needs the tool and, for govulncheck,
 # network access, so both are skipped, loudly, where missing). The
 # race detector runs outside the default target so it stays fast: CI's
@@ -15,9 +16,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test fmt race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
+.PHONY: check vet build test fmt bench-check race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
 
-check: vet build test lint-metrics fmt staticcheck vulncheck
+check: vet build test lint-metrics fmt bench-check staticcheck vulncheck
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +36,13 @@ race:
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt: not formatted:"; echo "$$out"; exit 1; fi
+
+# perfbench is its own Go module (it builds this one through a replace
+# directive), so the targets above never compile it: vet it and run its
+# short self-tests, so a change to the router's API cannot break the
+# benchmark unseen.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The fleet chaos soak under the race detector: four workers plus a
 # coordinator in one process, scripted partitions, a heartbeat-muted

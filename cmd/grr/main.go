@@ -42,11 +42,10 @@
 // have built.
 //
 // -edits applies a design-delta script (block / remove-net / add-conn
-// lines) after the base route; with -incremental only the connections
-// the edits disturb are re-searched, yet the edited board is identical
-// to routing the edited design from scratch:
+// lines) after the base route and routes the edited design from
+// scratch:
 //
-//	grr -design coproc.brd -edits rev2.edits -incremental
+//	grr -design coproc.brd -edits rev2.edits
 package main
 
 import (
@@ -113,8 +112,7 @@ func run() int {
 		bidi   = flag.Bool("bidirectional", true, "spread Lee wavefronts from both ends")
 		engine = flag.String("engine", "classic", "Lee search engine: classic, goal (goal-oriented lower-bound priorities)")
 
-		editsF      = flag.String("edits", "", "after routing, apply this edit script (block/remove-net/add-conn lines) and route the edited design")
-		incremental = flag.Bool("incremental", false, "with -edits: re-route only the connections the edits disturb instead of routing the edited design from scratch")
+		editsF = flag.String("edits", "", "after routing, apply this edit script (block/remove-net/add-conn lines) and route the edited design")
 
 		timeBudget = flag.Duration("time-budget", 0, "stop routing after this much wall-clock time (0 = none); partial results exit 3")
 		nodeBudget = flag.Int("node-budget", 0, "fail any connection whose search expands more than this many nodes (0 = none)")
@@ -202,10 +200,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "grr: unknown engine %q\n", *engine)
 		return exitUsage
 	}
-	if *incremental && *editsF == "" {
-		fmt.Fprintln(os.Stderr, "grr: -incremental requires -edits")
-		return exitUsage
-	}
 
 	cfg := singleConfig{
 		design: *design, connsF: *connsF, routes: *routes, svgDir: *svgDir,
@@ -213,7 +207,7 @@ func run() int {
 		runDRC: *runDRC, congst: *congst,
 		checkpoint: *checkpoint, ckEvery: *ckEvery,
 		hangAt: *hangAt,
-		edits:  *editsF, incremental: *incremental,
+		edits:  *editsF,
 	}
 	if *editsF != "" && (*checkpoint != "" || *resume != "") {
 		fmt.Fprintln(os.Stderr, "grr: -edits excludes -checkpoint and -resume")
@@ -273,7 +267,6 @@ type singleConfig struct {
 	ckEvery                                int
 	hangAt                                 int
 	edits                                  string
-	incremental                            bool
 }
 
 // attachCheckpointSink wires a periodic snapshot writer into opts. The
@@ -351,11 +344,8 @@ func runSingle(ctx context.Context, cfg singleConfig, opts core.Options) int {
 }
 
 // runWithEdits routes the base design, applies the -edits script and
-// routes the edited design — incrementally (adopting every recorded
-// route the edits did not disturb) with -incremental, from scratch
-// otherwise. The two modes produce the identical edited board; the
-// incremental one just gets there without re-searching. Reports and
-// artifacts describe the edited board.
+// routes the edited design from scratch. Reports and artifacts describe
+// the edited board.
 func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *board.Board, conns []core.Connection, opts core.Options) int {
 	ef, err := os.Open(cfg.edits)
 	if err != nil {
@@ -367,7 +357,6 @@ func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *b
 		return fail(err)
 	}
 
-	opts.RecordRegions = opts.RecordRegions || cfg.incremental
 	r, err := core.New(b, conns, opts)
 	if err != nil {
 		return fail(err)
@@ -400,22 +389,12 @@ func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *b
 		}
 	}
 
-	var r2 *core.Router
-	if cfg.incremental {
-		r2, err = r.Reroute(b2, edits, nil)
-	} else {
-		r2, err = core.New(b2, core.EditConns(conns, edits), opts)
-	}
+	r2, err := core.New(b2, core.EditConns(conns, edits), opts)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Println("\nedited route:")
-	code := routeAndReport(ctx, cfg, d, b2, r2.Conns, r2)
-	if cfg.incremental {
-		adopted, rerouted := r2.IncStats()
-		fmt.Printf("incremental: %d route(s) adopted, %d re-routed\n", adopted, rerouted)
-	}
-	return code
+	return routeAndReport(ctx, cfg, d, b2, r2.Conns, r2)
 }
 
 // runResume reloads a -checkpoint snapshot and routes the rest of the

@@ -100,7 +100,7 @@ func run() int {
 		hbEvery   = flag.Duration("heartbeat-every", time.Second, "heartbeat cadence (worker: send; coordinator: expect and sweep)")
 		hbMiss    = flag.Int("heartbeat-miss", 3, "coordinator mode: missed beats before a node is fenced and failed over")
 		hedge     = flag.Duration("hedge", 0, "coordinator mode: hedge a job on a healthy peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = hedging off)")
-		slowFact  = flag.Float64("slow-factor", 3, "coordinator mode: latch a node slow when a latency signal exceeds this multiple of the fleet median")
+		slowFact  = flag.Float64("slow-factor", 3, "coordinator mode: latch a node slow when a latency signal exceeds this multiple of the fleet median (a median needs three reporting nodes)")
 		maxBody   = flag.Int64("max-body", 16<<20, "maximum request body bytes accepted on POST /jobs")
 
 		crashAt = flag.Uint64("crash-at", 0, "fault injection: kill the process (exit 137) at the Nth board mutation across all jobs")

@@ -45,8 +45,8 @@ type Board struct {
 	// observer, when set, is notified after every applied mutation.
 	observer MutationObserver
 	// hooks are further mutation listeners (AddMutateHook): the goal
-	// engine's lower-bound index and the incremental router's turn
-	// tracking both listen without displacing the observer.
+	// engine's lower-bound index listens without displacing the
+	// observer.
 	hooks []func(Record)
 
 	// seq counts applied mutations; openTxs counts transactions holding
@@ -97,24 +97,15 @@ func (b *Board) mutated(rec Record) {
 		b.observer.ObserveMutation(rec)
 	}
 	for _, h := range b.hooks {
-		if h != nil {
-			h(rec)
-		}
+		h(rec)
 	}
 }
 
 // AddMutateHook registers f to be called after every applied mutation,
-// alongside the mutation observer. It returns a function removing the
-// hook again. Hooks may not mutate the board.
-func (b *Board) AddMutateHook(f func(Record)) (remove func()) {
+// alongside the mutation observer, for the rest of the board's life.
+// Hooks may not mutate the board.
+func (b *Board) AddMutateHook(f func(Record)) {
 	b.hooks = append(b.hooks, f)
-	idx := len(b.hooks) - 1
-	return func() {
-		b.hooks[idx] = nil
-		for n := len(b.hooks); n > 0 && b.hooks[n-1] == nil; n-- {
-			b.hooks = b.hooks[:n-1]
-		}
-	}
 }
 
 // New builds an empty board for the given configuration.

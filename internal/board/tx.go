@@ -66,25 +66,6 @@ func (r Record) String() string {
 	}
 }
 
-// RecordRect returns the grid rectangle covered by the record's metal: a
-// 1-wide strip along the channel for segment ops, a single cell for via
-// ops (a via occupies one grid point on every layer). Any grid cell
-// whose occupancy — on any layer, or in the via map — the mutation
-// changed lies inside the returned rectangle; incremental re-routing's
-// dirty-region bookkeeping relies on that freedom from false negatives.
-func (b *Board) RecordRect(rec Record) geom.Rect {
-	switch rec.Kind {
-	case OpPlaceVia, OpRemoveVia:
-		return geom.Bounding(rec.At, rec.At)
-	default:
-		o := b.Layers[rec.Layer].Orient
-		return geom.Bounding(
-			b.Cfg.PointAt(o, rec.Ch, rec.Span.Lo),
-			b.Cfg.PointAt(o, rec.Ch, rec.Span.Hi),
-		)
-	}
-}
-
 // txEntry pairs a record with the live handles its inverse needs. The
 // handles are refreshed whenever an undo or redo re-creates the metal.
 type txEntry struct {

@@ -320,27 +320,3 @@ func TestAuditSurfacesViaMapInvariant(t *testing.T) {
 		t.Error("Audit ignored a via-map underflow")
 	}
 }
-
-func TestRecordRectSpansSegmentMetal(t *testing.T) {
-	b := testBoard(t, 5, 5, 2)
-	var recs []Record
-	remove := b.AddMutateHook(func(rec Record) { recs = append(recs, rec) })
-	if b.AddSegment(0, 2, 1, 7, 7) == nil {
-		t.Fatal("add failed")
-	}
-	if _, ok := b.PlaceVia(geom.Pt(6, 9), 8); !ok {
-		t.Fatal("via failed")
-	}
-	remove()
-	segRect := b.RecordRect(recs[0])
-	o := b.Layers[0].Orient
-	for pos := 1; pos <= 7; pos++ {
-		if p := b.Cfg.PointAt(o, 2, pos); !p.In(segRect) {
-			t.Errorf("segment cell %v outside RecordRect %v", p, segRect)
-		}
-	}
-	viaRect := b.RecordRect(recs[1])
-	if want := geom.Bounding(geom.Pt(6, 9), geom.Pt(6, 9)); viaRect != want {
-		t.Errorf("via RecordRect = %v, want %v", viaRect, want)
-	}
-}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/geom"
 )
 
-// This file is the edit-script codec: the design deltas incremental
-// re-routing accepts (core.Edit), as a line-oriented text format shared
-// by `grr -edits` and grrd's POST /jobs/{id}/edit body:
+// This file is the edit-script codec: the design deltas core.EditConns
+// and the edited board take (core.Edit), as a line-oriented text format
+// shared by `grr -edits` and grrd's POST /jobs/{id}/edit body:
 //
 //	block <minx> <miny> <maxx> <maxy>          new keepout, grid units
 //	remove-net <name>                          drop every connection of the net

@@ -69,22 +69,9 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// MetricsInts flattens m into its canonical 22-integer serialization
-// order — the snapshot codec's `metrics` line and the grrd job journal
-// both use it. MetricsFromInts is its inverse; the two must change
-// together.
-func MetricsInts(m core.Metrics) []int { return metricsInts(m) }
-
-// MetricsFromInts rebuilds a Metrics from its MetricsInts serialization.
-func MetricsFromInts(v []int) (core.Metrics, error) {
-	if want := len(metricsInts(core.Metrics{})); len(v) != want {
-		return core.Metrics{}, fmt.Errorf("boardio: metrics need %d integers, got %d", want, len(v))
-	}
-	return unpackMetrics(v), nil
-}
-
 // metricsInts flattens m into its canonical 22-integer serialization
-// order. unpackMetrics is its inverse; the two must change together.
+// order, the snapshot's `metrics` line. unpackMetrics is its inverse;
+// the two must change together.
 func metricsInts(m core.Metrics) []int {
 	out := []int{m.Connections, m.Routed, m.Failed}
 	out = append(out, m.ByMethod[:]...)
@@ -135,44 +122,21 @@ var optionFields = []optionField{
 	{"nodebudget", func(o *core.Options) int64 { return int64(o.NodeBudget) }, func(o *core.Options, v int64) { o.NodeBudget = int(v) }},
 	{"paranoid", func(o *core.Options) int64 { return boolInt(o.Paranoid) }, func(o *core.Options, v int64) { o.Paranoid = v != 0 }},
 	{"checkpointevery", func(o *core.Options) int64 { return int64(o.CheckpointEvery) }, func(o *core.Options, v int64) { o.CheckpointEvery = int(v) }},
-	// engine and recordregions postdate the fields above; snapshots
-	// written before them simply omit the lines, and the zero values they
-	// decode to (EngineClassic, regions off) are exactly what those runs
-	// used. engine is algorithmic — resume refuses a conflicting -engine.
+	// engine postdates the fields above; snapshots written before it
+	// simply omit the line, and the zero value it decodes to
+	// (EngineClassic) is exactly what those runs used. engine is
+	// algorithmic — resume refuses a conflicting -engine.
 	{"engine", func(o *core.Options) int64 { return int64(o.Engine) }, func(o *core.Options, v int64) { o.Engine = core.Engine(v) }},
-	{"recordregions", func(o *core.Options) int64 { return boolInt(o.RecordRegions) }, func(o *core.Options, v int64) { o.RecordRegions = v != 0 }},
 }
 
 // legacyOptions are option names earlier releases wrote or accepted
 // that no longer mean anything. ReadSnapshot and ApplyOption still
 // accept them, so old journals and old clients keep working, and ignore
-// their values; OptionNames and OptionInts leave them out, so they
-// never split the resolved option vector. workers was the intra-board
-// worker count, which never changed routed output.
-var legacyOptions = []string{"workers"}
-
-// OptionNames lists the router options the snapshot codec — and the
-// grrd job API, which accepts them as a name→integer map — understand,
-// in serialization order.
-func OptionNames() []string {
-	names := make([]string, len(optionFields))
-	for i, f := range optionFields {
-		names[i] = f.name
-	}
-	return names
-}
-
-// OptionInts returns every recognized option's integer serialization
-// from o, in OptionNames order — the resolved option vector: a spec
-// that spells out a default resolves to the same vector as one that
-// omits it.
-func OptionInts(o *core.Options) []int64 {
-	vals := make([]int64, len(optionFields))
-	for i, f := range optionFields {
-		vals[i] = f.get(o)
-	}
-	return vals
-}
+// their values; WriteSnapshot never writes them. None ever changed
+// routed output: workers was the intra-board worker count, and
+// recordregions armed the incremental re-routing that edits no longer
+// take (DESIGN §15.2).
+var legacyOptions = []string{"workers", "recordregions"}
 
 // ApplyOption sets the named router option on o from its integer
 // serialization (booleans as 0/1, the time budget as nanoseconds),

@@ -142,11 +142,21 @@ func TestSnapshotTruncatedTrailer(t *testing.T) {
 	}
 }
 
+// optionVector is every recognized option's integer serialization from
+// o, in optionFields order.
+func optionVector(o *core.Options) []int64 {
+	vals := make([]int64, len(optionFields))
+	for i, f := range optionFields {
+		vals[i] = f.get(o)
+	}
+	return vals
+}
+
 func TestApplyOptionRoundTrip(t *testing.T) {
 	var o core.Options
-	for _, name := range OptionNames() {
-		if err := ApplyOption(&o, name, 1); err != nil {
-			t.Errorf("ApplyOption(%q): %v", name, err)
+	for _, f := range optionFields {
+		if err := ApplyOption(&o, f.name, 1); err != nil {
+			t.Errorf("ApplyOption(%q): %v", f.name, err)
 		}
 	}
 	if o.Radius != 1 || !o.Sort || !o.Paranoid || o.NodeBudget != 1 {
@@ -155,62 +165,78 @@ func TestApplyOptionRoundTrip(t *testing.T) {
 	if err := ApplyOption(&o, "bogus", 1); err == nil {
 		t.Error("unknown option accepted")
 	}
-	before := OptionInts(&o)
-	if err := ApplyOption(&o, "workers", 4); err != nil {
-		t.Errorf("legacy option rejected: %v", err)
+	before := optionVector(&o)
+	for _, name := range legacyOptions {
+		if err := ApplyOption(&o, name, 4); err != nil {
+			t.Errorf("legacy option %q rejected: %v", name, err)
+		}
 	}
-	if !slices.Equal(OptionInts(&o), before) {
-		t.Error("legacy option changed the options")
+	if !slices.Equal(optionVector(&o), before) {
+		t.Error("legacy options changed the options")
 	}
 }
 
-// TestLegacyWorkersSnapshotResumes: a snapshot written by a release that
-// still serialized the intra-board worker count ("option workers 4")
-// loads, and resumes to the same board as an uninterrupted run.
+// TestLegacyWorkersSnapshotResumes: snapshots written by releases that
+// still serialized a retired option load, and resume to the same board
+// as an uninterrupted run. legacy-workers.snap carries the intra-board
+// worker count ("option workers 4"); legacy-recordregions.snap carries
+// "option recordregions 1", which armed incremental re-routing.
 func TestLegacyWorkersSnapshotResumes(t *testing.T) {
-	snap, err := LoadSnapshot(filepath.Join("testdata", "legacy-workers.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Check.NextPos == 0 && snap.Check.Pass == 0 {
-		t.Fatal("fixture is not cut mid-route")
-	}
-	b, r, err := snap.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := r.Route(); res.Aborted != core.AbortNone {
-		t.Fatalf("resumed route aborted: %v", res.Aborted)
-	}
+	for _, fixture := range []string{"legacy-workers.snap", "legacy-recordregions.snap"} {
+		t.Run(fixture, func(t *testing.T) {
+			snap, err := LoadSnapshot(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Check.NextPos == 0 && snap.Check.Pass == 0 {
+				t.Fatal("fixture is not cut mid-route")
+			}
+			b, r, err := snap.Restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := r.Route(); res.Aborted != core.AbortNone {
+				t.Fatalf("resumed route aborted: %v", res.Aborted)
+			}
 
-	fresh, err := board.New(snap.Design.GridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Design.PlacePins(fresh); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := core.New(fresh, snap.Conns, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Route()
-	if got, want := b.Fingerprint(), fresh.Fingerprint(); got != want {
-		t.Errorf("resumed fingerprint %016x, uninterrupted %016x", got, want)
+			fresh, err := board.New(snap.Design.GridConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.Design.PlacePins(fresh); err != nil {
+				t.Fatal(err)
+			}
+			fr, err := core.New(fresh, snap.Conns, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr.Route()
+			if got, want := b.Fingerprint(), fresh.Fingerprint(); got != want {
+				t.Errorf("resumed fingerprint %016x, uninterrupted %016x", got, want)
+			}
+
+			// The retired option is gone from what a snapshot writes.
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range legacyOptions {
+				if bytes.Contains(buf.Bytes(), []byte("option "+name+" ")) {
+					t.Errorf("rewritten snapshot still carries option %s", name)
+				}
+			}
+		})
 	}
 }
 
 func TestMetricsIntsRoundTrip(t *testing.T) {
 	m := core.Metrics{Connections: 3, Routed: 2, Failed: 1, RipUps: 7, WireLength: 99}
 	m.ByMethod[core.Lee] = 2
-	got, err := MetricsFromInts(MetricsInts(m))
-	if err != nil {
-		t.Fatal(err)
+	v := metricsInts(m)
+	if len(v) != 22 {
+		t.Fatalf("metrics serialize to %d integers, want 22", len(v))
 	}
-	if got != m {
+	if got := unpackMetrics(v); got != m {
 		t.Errorf("round trip changed metrics:\n got  %+v\n want %+v", got, m)
-	}
-	if _, err := MetricsFromInts([]int{1, 2, 3}); err == nil {
-		t.Error("short metrics vector accepted")
 	}
 }

@@ -40,20 +40,16 @@ func wallOff(tb testing.TB, b *board.Board, c geom.Point) {
 // obs.Registry armed and holds it to the same allocation budget: phase
 // timing is two clock reads bracketing the search, and metric flushing
 // happens outside it, so observability must be free on the hot path.
-// The "tracked" variant floods with read-region tracking armed, exactly
-// as an incremental router's recorded turn runs: tracking is pure
-// interval arithmetic into preallocated fields, so it must fit the same
-// budget. The "goal" variant floods under EngineGoal: the lower-bound
-// index is consulted on every via candidate, so its query path — ensure,
-// the prefix counts, the radius window — must be allocation-free too.
+// The "goal" variant floods under EngineGoal: the lower-bound index is
+// consulted on every via candidate, so its query path — ensure, the
+// prefix counts, the radius window — must be allocation-free too.
 func TestLeeSteadyStateAllocs(t *testing.T) {
-	t.Run("bare", func(t *testing.T) { leeSteadyStateAllocs(t, nil, false, EngineClassic) })
-	t.Run("instrumented", func(t *testing.T) { leeSteadyStateAllocs(t, obs.NewRegistry(), false, EngineClassic) })
-	t.Run("tracked", func(t *testing.T) { leeSteadyStateAllocs(t, nil, true, EngineClassic) })
-	t.Run("goal", func(t *testing.T) { leeSteadyStateAllocs(t, nil, false, EngineGoal) })
+	t.Run("bare", func(t *testing.T) { leeSteadyStateAllocs(t, nil, EngineClassic) })
+	t.Run("instrumented", func(t *testing.T) { leeSteadyStateAllocs(t, obs.NewRegistry(), EngineClassic) })
+	t.Run("goal", func(t *testing.T) { leeSteadyStateAllocs(t, nil, EngineGoal) })
 }
 
-func leeSteadyStateAllocs(t *testing.T, reg *obs.Registry, tracked bool, engine Engine) {
+func leeSteadyStateAllocs(t *testing.T, reg *obs.Registry, engine Engine) {
 	b := emptyBoard(t, 40, 40, 2)
 	a := pinAt(t, b, geom.Pt(2, 2))
 	c := pinAt(t, b, geom.Pt(35, 35))
@@ -66,12 +62,6 @@ func leeSteadyStateAllocs(t *testing.T, reg *obs.Registry, tracked bool, engine 
 	opts.Engine = engine
 	r := mustRouter(t, b, []Connection{{A: a, B: c}}, opts)
 	id := r.connID(0)
-	var region readRegion
-	if tracked {
-		r.search.TrackReads(true)
-		region = readRegion{cells: emptyRect(), vias: emptyRect()}
-		r.track = &region
-	}
 
 	// Warm up: the first flood grows the heap backing arrays and map
 	// buckets to their high-water marks.

@@ -182,22 +182,6 @@ func Resume(b *board.Board, conns []Connection, opts Options, cp *Checkpoint) (*
 		}
 		rt.Method = cr.Method
 		r.routes[i] = rt
-		if r.Opts.RecordRegions {
-			// A restored route has no memo — the read region of the
-			// search that found it died with the checkpointing process —
-			// so for incremental purposes its metal is churn: any later
-			// Reroute must treat the space it occupies as dirty.
-			metal := emptyRect()
-			for _, v := range cr.Vias {
-				metal = metal.Union(geom.Bounding(v, v))
-			}
-			for _, cs := range cr.Segs {
-				o := b.Layers[cs.Layer].Orient
-				metal = metal.Union(geom.Bounding(
-					b.Cfg.PointAt(o, cs.Ch, cs.Lo), b.Cfg.PointAt(o, cs.Ch, cs.Hi)))
-			}
-			r.churn[i] = metal
-		}
 	}
 	r.metrics = cp.Metrics
 	if r.obs != nil {

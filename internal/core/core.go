@@ -146,13 +146,11 @@ type Options struct {
 	// Algorithmic: it changes routed output, so resume refuses a
 	// snapshot taken under a different engine.
 	Engine Engine
-	// RecordRegions makes the router remember, per connection, the
-	// board region its successful search read and the mutation extents
-	// of every turn — the state an incremental Reroute (incremental.go)
-	// consumes after a design edit. Purely additive bookkeeping: routed
-	// output is bit-identical with it on or off, at the cost of
-	// read-extent tracking and one retained rectangle set per
-	// connection.
+	// RecordRegions is read by nothing: every edited design routes from
+	// scratch (DESIGN §15.2).
+	//
+	// Deprecated: it stays until the benchmark's eco workload stops
+	// setting it.
 	RecordRegions bool
 	// MaxRipupRounds bounds how many rip-up/retry rounds a single
 	// connection may trigger before it is declared failed for this pass.

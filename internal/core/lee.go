@@ -403,7 +403,6 @@ func (r *Router) retrace(a, b geom.Point, id layer.ConnID, chain []hop) (Route, 
 			if pt == a || pt == b {
 				continue
 			}
-			r.trackPt(pt)
 			if r.B.ViaFree(pt) {
 				if !r.drill(&rt, pt, id) {
 					r.rollback(&rt)

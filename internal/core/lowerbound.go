@@ -71,13 +71,6 @@ type lbIndex struct {
 	// on query means some mutation bypassed the hook and forces a
 	// rebuild.
 	seq uint64
-	// hash is the lazily computed FNV-64a over the full-channel bit
-	// vector — the part of the index the bound actually reads. The
-	// incremental engine records it into goal-engine memos: a memo may
-	// only be adopted when the congestion picture its search saw is
-	// reproduced (DESIGN §15).
-	hash   uint64
-	hashOK bool
 
 	// Counters behind the lower-bound metric series, flushed at obs boundaries.
 	builds  int
@@ -111,7 +104,6 @@ func (x *lbIndex) apply(rec board.Record) {
 	}
 	if (l.used[rec.Ch] == l.length) != wasFull {
 		l.pfxOK = false
-		x.hashOK = false
 	}
 }
 
@@ -146,7 +138,6 @@ func (x *lbIndex) build() {
 	}
 	x.built = true
 	x.seq = b.Mutations()
-	x.hashOK = false
 	x.builds++
 }
 
@@ -186,33 +177,6 @@ func (x *lbIndex) needsVia(n, t geom.Point, radius int) bool {
 	}
 	x.hits++
 	return true
-}
-
-// fullHash returns the FNV-64a hash of the full-channel bit vector —
-// the congestion picture needsVia reads. Recomputed lazily, only when
-// some channel flipped between full and non-full since the last call.
-func (x *lbIndex) fullHash() uint64 {
-	x.ensure()
-	if x.hashOK {
-		return x.hash
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for li := range x.layers {
-		l := &x.layers[li]
-		for c := range l.used {
-			if l.used[c] == l.length {
-				h ^= uint64(li)<<32 ^ uint64(c)
-				h *= prime64
-			}
-		}
-	}
-	x.hash = h
-	x.hashOK = true
-	return h
 }
 
 // goalViaPen is the goal engine's per-hop penalty, the unit in which

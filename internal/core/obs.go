@@ -70,13 +70,6 @@ type routerObs struct {
 	lbQueries *obs.Counter
 	lbHits    *obs.Counter
 	flushedLB [3]int
-
-	// Incremental replay outcomes (DESIGN §15), updated directly at
-	// replay turns rather than flushed from Metrics: they are
-	// operational counters, and Metrics' integer serialization belongs
-	// to the snapshot codec.
-	incAdopted  *obs.Counter
-	incRerouted *obs.Counter
 }
 
 // newRouterObs registers (or re-resolves — registration is idempotent,
@@ -102,9 +95,6 @@ func newRouterObs(reg *obs.Registry) *routerObs {
 		lbBuilds:  reg.Counter("grr_lb_builds_total"),
 		lbQueries: reg.Counter("grr_lb_queries_total"),
 		lbHits:    reg.Counter("grr_lb_via_bound_hits_total"),
-
-		incAdopted:  reg.Counter("grr_incremental_adopted_total"),
-		incRerouted: reg.Counter("grr_incremental_rerouted_total"),
 	}
 	for i, cause := range [...]string{"no_victims", "rounds", "node_budget"} {
 		o.fail[i] = reg.Counter(`grr_router_route_failures_total{cause="` + cause + `"}`)

@@ -115,7 +115,6 @@ func (r *Router) tryOneViaCandidate(a, b geom.Point, id layer.ConnID, v geom.Poi
 	if !v.In(bounds) || v == a || v == b {
 		return Route{}, false
 	}
-	r.trackPt(v)
 	if !r.B.ViaFree(v) {
 		return Route{}, false
 	}

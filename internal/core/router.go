@@ -51,37 +51,9 @@ type Router struct {
 	abortReason AbortReason
 	invariant   error
 
-	// track, when non-nil, accumulates the read/write region of the
-	// connection attempt in flight. routeTurn sets it under
-	// Options.RecordRegions (incremental.go); otherwise the cost is one
-	// nil check per placement.
-	track *readRegion
-
 	// lb is the goal-oriented engine's preprocessed lower-bound index
 	// (lowerbound.go), nil under EngineClassic.
 	lb *lbIndex
-
-	// Incremental re-routing state (incremental.go), live only under
-	// Options.RecordRegions. memos holds, per connection index, the
-	// last clean (zero-rip-up) routing turn: its metal, read region and
-	// pass. churn accumulates the mutation extents of every turn that
-	// was not clean. turnRegion/turnRect are the per-turn accumulators
-	// routeTurn resets; the board mutation hook installed by New feeds
-	// turnRect. replay is non-nil on a router built by Reroute; curPass
-	// and inEscalate locate the turn in flight for memo bookkeeping.
-	memos      map[int]*connMemo
-	churn      map[int]geom.Rect
-	turnRegion readRegion
-	turnRect   geom.Rect
-	replay     *replayState
-	curPass    int
-	inEscalate bool
-
-	// Incremental outcome counters (incremental metric series): turns
-	// adopted straight from a memo, and turns an edit forced through
-	// the full ladder on a replay router.
-	incAdopted  int
-	incRerouted int
 
 	// Per-connection node-budget state: LeeExpansions at the start of
 	// the connection being routed, and whether its budget ran out.
@@ -146,15 +118,6 @@ func New(b *board.Board, conns []Connection, opts Options) (*Router, error) {
 	r.viaFree = b.ViaFree
 	if opts.Engine == EngineGoal {
 		r.lb = newLBIndex(b)
-	}
-	if opts.RecordRegions {
-		r.memos = make(map[int]*connMemo)
-		r.churn = make(map[int]geom.Rect)
-		r.turnRect = emptyRect()
-		b.AddMutateHook(func(rec board.Record) {
-			r.turnRect = r.turnRect.Union(b.RecordRect(rec))
-		})
-		r.search.TrackReads(true)
 	}
 	if opts.Metrics != nil {
 		r.obs = newRouterObs(opts.Metrics)
@@ -291,7 +254,6 @@ passes:
 		if r.obs != nil {
 			passT0 = time.Now()
 		}
-		r.curPass = pass
 		for pi := startPos; pi < len(r.order); pi++ {
 			i := r.order[pi]
 			r.ckPass, r.ckPos, r.ckPrev = pass, pi, prevUnrouted
@@ -299,7 +261,7 @@ passes:
 				break passes
 			}
 			if r.routes[i].Method == NotRouted {
-				r.routeTurn(i)
+				r.routeOne(i)
 				r.ckPos = pi + 1
 				r.obsFlush()
 				r.maybeCheckpoint(pass, pi+1, prevUnrouted)
@@ -442,11 +404,6 @@ func (r *Router) escalate() {
 	defer func() { r.Opts = saved }()
 	r.Opts.CostCapFactor = 0
 	r.Opts.MaxRipupRounds *= 2
-	// Escalation turns run under tweaked options, so their results are
-	// never memoized for incremental adoption (recordTurn files them
-	// under churn); the flag also blocks memo adoption while set.
-	r.inEscalate = true
-	defer func() { r.inEscalate = false }()
 
 	for stage := 1; stage <= 2; stage++ {
 		r.Opts.Radius = saved.Radius + stage
@@ -458,7 +415,7 @@ func (r *Router) escalate() {
 					return
 				}
 				if r.routes[i].Method == NotRouted {
-					r.routeTurn(i)
+					r.routeOne(i)
 					r.obsFlush()
 				}
 			}
@@ -576,7 +533,6 @@ func (r *Router) invariantStop(err error) {
 // junction needed) and the caller simply tries another strategy.
 func (r *Router) materialize(rt *Route, li int, runs []sla.Run, id layer.ConnID) bool {
 	for _, run := range runs {
-		r.trackRun(li, run.Chan, run.Span.Lo, run.Span.Hi)
 		s := r.tx(rt).AddSegment(li, run.Chan, run.Span.Lo, run.Span.Hi, id)
 		if s == nil {
 			r.rollback(rt)
@@ -603,7 +559,6 @@ func (r *Router) rollback(rt *Route) {
 
 // drill places a via for rt at p.
 func (r *Router) drill(rt *Route, p geom.Point, id layer.ConnID) bool {
-	r.trackPt(p)
 	pv, ok := r.tx(rt).PlaceVia(p, id)
 	if !ok {
 		return false

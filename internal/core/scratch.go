@@ -19,7 +19,7 @@ import (
 //   - the two wavefront heaps are typed binary heaps over leeItem,
 //     replacing container/heap's any-boxed items, with backing arrays
 //     that persist across searches;
-//   - the ban set and the tuned search's goal table are retained maps,
+//   - the ban set and the tuned search's goal table are long-lived maps,
 //     cleared (cheap when near-empty, as they almost always are) rather
 //     than remade;
 //   - the one-via candidate dedup store is a second generation-stamped

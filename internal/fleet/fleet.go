@@ -84,8 +84,10 @@ type Config struct {
 	// SlowFactor tunes fail-slow detection: a node latches the slow
 	// posture when any of its latency signals (coordinator-observed
 	// forward latency, reported queue-wait, reported journal-write
-	// latency) exceeds SlowFactor × the fleet median for that signal,
-	// and unlatches below half that threshold (default 3).
+	// latency) exceeds SlowFactor × the fleet's lower median for that
+	// signal, and unlatches below half that threshold (default 3). A
+	// signal has a median only once at least three alive nodes report
+	// it, so a fleet of one or two nodes never latches.
 	SlowFactor float64
 }
 

@@ -52,6 +52,12 @@ const maxHedgesPerSweep = 8
 // microsecond noise must not latch postures.
 const slowFloorMs = 1.0
 
+// minSlowPeers is how many alive nodes must report a latency signal
+// before its fleet median is a baseline. With two, the lower median is
+// the idler node's own reading, so the busier node would latch whenever
+// its reading ran SlowFactor× its one peer's.
+const minSlowPeers = 3
+
 // noteForward feeds one coordinator→node round-trip into the node's
 // forward-latency EWMA. Failures count double time naturally: a
 // timed-out Post took as long as its timeout.
@@ -81,23 +87,13 @@ func (c *Coordinator) noteTerminal(id string, st server.Status) {
 	c.noteTerminalLocked(id, st)
 }
 
-// lowerMedian returns the lower median of vs (biased toward the
-// majority for even counts: in a fleet of 2 with one sick node, the
-// healthy node's value IS the baseline).
-func lowerMedian(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	return s[(len(s)-1)/2]
-}
-
 // updateSlow re-evaluates every alive node's fail-slow posture against
 // the fleet medians. Latch when any signal exceeds SlowFactor × median
 // (and the absolute floor); unlatch when every signal is back under
 // half the latch threshold — the hysteresis keeps a borderline node
-// from flapping between postures every sweep.
+// from flapping between postures every sweep. A signal fewer than
+// minSlowPeers nodes report has no median, so it neither latches a
+// node nor holds one latched.
 func (c *Coordinator) updateSlow() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -119,23 +115,29 @@ func (c *Coordinator) updateSlow() {
 		}
 		all = append(all, sig)
 	}
-	if len(all) < 2 {
-		return // "slower than the fleet" needs a fleet to compare against
-	}
 
-	collect := func(get func(signals) float64) []float64 {
+	// median is a signal's fleet baseline, 0 while fewer than
+	// minSlowPeers nodes report it: "slower than the fleet" needs a
+	// fleet to compare against. It is the lower median, biased toward
+	// the healthy majority for even counts: in a fleet of 4 with one
+	// sick node, the baseline is a healthy node's value.
+	median := func(get func(signals) float64) float64 {
 		var vs []float64
 		for _, s := range all {
 			if v := get(s); v > 0 {
 				vs = append(vs, v)
 			}
 		}
-		return vs
+		if len(vs) < minSlowPeers {
+			return 0
+		}
+		sort.Float64s(vs)
+		return vs[(len(vs)-1)/2]
 	}
 	medians := [3]float64{
-		lowerMedian(collect(func(s signals) float64 { return s.fwd })),
-		lowerMedian(collect(func(s signals) float64 { return s.qw })),
-		lowerMedian(collect(func(s signals) float64 { return s.dw })),
+		median(func(s signals) float64 { return s.fwd }),
+		median(func(s signals) float64 { return s.qw }),
+		median(func(s signals) float64 { return s.dw }),
 	}
 
 	slowCount := int64(0)

@@ -30,9 +30,8 @@ func postEdit(t *testing.T, base, id, edits string) *http.Response {
 }
 
 // TestEditEndpoint: POST /jobs/{id}/edit derives a new job whose final
-// board is bit-identical to routing the edited problem from scratch —
-// the incremental fast path is invisible in the result — and the
-// derived job spends no more search than the from-scratch route.
+// board and metrics are bit-identical to routing the edited problem
+// from scratch.
 func TestEditEndpoint(t *testing.T) {
 	cfg := testConfig(t)
 	s, err := New(cfg)
@@ -43,8 +42,7 @@ func TestEditEndpoint(t *testing.T) {
 	defer ts.Close()
 	defer drainServer(t, s)
 
-	spec := testSpec(t, 6, map[string]int64{"recordregions": 1})
-	st, err := s.Submit(spec)
+	st, err := s.Submit(testSpec(t, 6, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +50,9 @@ func TestEditEndpoint(t *testing.T) {
 	if fin.State != StateDone {
 		t.Fatalf("parent did not finish: %+v", fin)
 	}
-
-	// The parent's router must be in the retention cache now.
 	s.mu.Lock()
 	parentSnap := s.jobs[st.ID].snap
-	_, retained := s.retained[st.ID]
 	s.mu.Unlock()
-	if !retained {
-		t.Fatalf("done recordregions job %s not retained for edits", st.ID)
-	}
 
 	// Edit: rip out one net and re-add its connection under a new name —
 	// the same endpoints, so the edited problem stays routable.
@@ -110,28 +102,8 @@ func TestEditEndpoint(t *testing.T) {
 		t.Errorf("derived fingerprint = %s, want %s (from-scratch route of the edited problem)",
 			cfin.Fingerprint, want)
 	}
-	if cfin.Metrics.Routed != ores.Metrics.Routed || cfin.Metrics.Connections != ores.Metrics.Connections {
-		t.Errorf("derived routed %d/%d, oracle %d/%d",
-			cfin.Metrics.Routed, cfin.Metrics.Connections,
-			ores.Metrics.Routed, ores.Metrics.Connections)
-	}
-	// Adopted routes skip the Lee search entirely, so the incremental
-	// attempt can only spend less search than (or, with nothing
-	// adoptable, exactly as much as) the oracle.
-	if cfin.Metrics.LeeExpansions > ores.Metrics.LeeExpansions {
-		t.Errorf("incremental attempt expanded %d nodes, from-scratch %d — fast path never ran",
-			cfin.Metrics.LeeExpansions, ores.Metrics.LeeExpansions)
-	}
-	// And the fast path must actually have run: a from-scratch attempt
-	// leaves both replay counters at zero.
-	s.mu.Lock()
-	adopted, rerouted := s.jobs[child.ID].incAdopted, s.jobs[child.ID].incRerouted
-	s.mu.Unlock()
-	if adopted+rerouted == 0 {
-		t.Error("derived job routed from scratch; expected the incremental replay path")
-	}
-	if adopted == 0 {
-		t.Error("incremental replay adopted no routes; edits this small should leave most memos intact")
+	if *cfin.Metrics != ores.Metrics {
+		t.Errorf("derived metrics diverged from the oracle's:\n got  %+v\n want %+v", *cfin.Metrics, ores.Metrics)
 	}
 
 	// The parent, untouched, is still done with its original result.
@@ -165,8 +137,7 @@ func TestEditEndpointRefusals(t *testing.T) {
 	}
 
 	// Wedge the first job mid-route: editing a running job is a 409.
-	spec := testSpec(t, 5, map[string]int64{"recordregions": 1})
-	st, err := s.Submit(spec)
+	st, err := s.Submit(testSpec(t, 5, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,10 +323,9 @@ type editRequest struct {
 	DeadlineMs *int64 `json:"deadline_ms,omitempty"`
 }
 
-// handleEdit derives a new job from a finished one (DESIGN §15). The
-// derived job is an ordinary submission — journaled, retried, pollable
-// at GET /jobs/{id} — whose first attempt re-routes incrementally when
-// the parent's run is still retained.
+// handleEdit derives a new job from a finished one (DESIGN §15.2). The
+// derived job is an ordinary submission — journaled, routed from
+// scratch, retried, pollable at GET /jobs/{id}.
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	var req editRequest
 	if err := decodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {

@@ -83,7 +83,7 @@ func parseState(v string) (State, error) {
 // JobSpec is the client-facing submission payload: a .brd design, an
 // optional pre-strung .con connection list (default: the design's nets
 // are strung with the standard chain stringer), and router options as
-// the snapshot codec's name→integer map (boardio.OptionNames).
+// the snapshot codec's name→integer map (boardio.ApplyOption).
 type JobSpec struct {
 	Design  string           `json:"design"`
 	Conns   string           `json:"conns,omitempty"`
@@ -172,20 +172,6 @@ type Job struct {
 	// runtime-only, for the grr_job_seconds latency histogram. Not
 	// journaled: a restarted daemon measures from recovery.
 	created time.Time
-
-	// editParent and edits mark a job derived via POST /jobs/{id}/edit:
-	// the finished job it edits and the design deltas applied. Runtime-
-	// only — the snapshot already IS the edited problem, so recovery and
-	// handoff route it from scratch; these fields merely enable the
-	// incremental fast path while the parent's router is retained.
-	editParent string
-	edits      []core.Edit
-
-	// incAdopted/incRerouted are the winning attempt's incremental
-	// replay stats (both zero when the job routed from scratch).
-	// Runtime-only — diagnostics, not part of the result.
-	incAdopted  int
-	incRerouted int
 }
 
 // Status is the JSON shape served by GET /jobs/{id}.

@@ -535,7 +535,7 @@ func (o *lifecycleOracle) replay(log []byte) error {
 		ev, id := strings.TrimPrefix(f[1], "event="), strings.TrimPrefix(f[2], "job=")
 		e, ok := oracleEdges[ev]
 		if !ok {
-			continue // an annotation (job_incremental, job_stolen_unjournaled, ...)
+			continue // an annotation (job_stolen_unjournaled, ...)
 		}
 		from := o.place[id]
 		if from == "" {

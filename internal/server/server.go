@@ -225,10 +225,6 @@ type Server struct {
 	// wakes workers waiting for the run queue. Both use mu.
 	idle *sync.Cond
 	work *sync.Cond
-	// retained caches completed runs' routers for incremental edits
-	// (edit.go); retainedOrder is its FIFO eviction order.
-	retained      map[string]*retainedRun
-	retainedOrder []string
 
 	// queue is the run queue, in arrival order; parkedN counts the
 	// disk-parked jobs, which Load reports as queued — waiting work a
@@ -305,7 +301,6 @@ func New(cfg Config) (*Server, error) {
 		retryAfterDrain: retryAfterSeconds(cfg.DrainBudget),
 		retryAfterDisk:  retryAfterSeconds(cfg.DiskProbeEvery),
 		jobs:            make(map[string]*Job),
-		retained:        make(map[string]*retainedRun),
 		backoff:         NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		capacity:        depth,
 		queueWait:       obs.NewEWMA(0.3),
@@ -763,12 +758,6 @@ type outcome struct {
 	res         *core.Result // finished (possibly incomplete) run
 	fingerprint uint64
 	auditErr    error
-	// retain carries the run's router to the retention cache when the
-	// job routed with recordregions; incAdopted/incRerouted are the
-	// replay stats of an incremental edit attempt (both zero otherwise).
-	retain      *retainedRun
-	incAdopted  int
-	incRerouted int
 
 	interrupted bool  // cancelled; checkpoint already flushed
 	transient   error // retryable failure
@@ -833,15 +822,11 @@ func (s *Server) execute(j *Job, started Job) (out outcome) {
 		run.Opts.ClampTimeBudget(time.Until(deadline))
 	}
 
-	b, r, incremental := s.rerouteIncremental(&run, j)
-	if !incremental {
-		var err error
-		b, r, err = run.Restore()
-		if err != nil {
-			// The journaled checkpoint does not fit its own design: nothing a
-			// retry can fix.
-			return outcome{permanent: fmt.Errorf("restore: %w", err)}
-		}
+	b, r, err := run.Restore()
+	if err != nil {
+		// The journaled checkpoint does not fit its own design: nothing a
+		// retry can fix.
+		return outcome{permanent: fmt.Errorf("restore: %w", err)}
 	}
 	if s.cfg.BoardHook != nil {
 		s.cfg.BoardHook(b)
@@ -850,14 +835,7 @@ func (s *Server) execute(j *Job, started Job) (out outcome) {
 	res := r.RouteContext(ctx)
 	switch res.Aborted {
 	case core.AbortNone:
-		out := outcome{res: &res, fingerprint: b.Fingerprint(), auditErr: b.Audit()}
-		if incremental {
-			out.incAdopted, out.incRerouted = r.IncStats()
-		}
-		if run.Opts.RecordRegions && out.auditErr == nil {
-			out.retain = &retainedRun{router: r}
-		}
-		return out
+		return outcome{res: &res, fingerprint: b.Fingerprint(), auditErr: b.Audit()}
 	case core.AbortCancelled:
 		return outcome{interrupted: true}
 	case core.AbortTime:
@@ -904,7 +882,6 @@ func (s *Server) settle(j *Job, attempt int, out outcome) {
 			j.snap = &final
 			j.Err, j.Aborted = "", ""
 			j.Fingerprint, j.AuditOK, j.Metrics = out.fingerprint, true, &m
-			j.incAdopted, j.incRerouted = out.incAdopted, out.incRerouted
 		}, "conns", m.Connections, "fingerprint", fmt.Sprintf("%016x", out.fingerprint))
 		switch {
 		case errors.Is(err, errUnclaimed):
@@ -912,15 +889,6 @@ func (s *Server) settle(j *Job, attempt int, out outcome) {
 			return
 		case errors.Is(err, errMoved):
 			return // lost the hedge commit race and stepped aside
-		}
-		if out.retain != nil {
-			// The run recorded regions: keep its router so POST
-			// /jobs/{id}/edit can re-route edits incrementally.
-			s.retain(j.ID, out.retain)
-		}
-		if out.incAdopted+out.incRerouted > 0 {
-			s.log.Log("job_incremental", "job", j.ID,
-				"adopted", out.incAdopted, "rerouted", out.incRerouted)
 		}
 
 	case out.interrupted:

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -574,26 +573,40 @@ func writeFile(path, content string) error {
 	})
 }
 
-// TestSubmitLegacyWorkersOption: "workers" (the retired intra-board
-// worker count) is still accepted from old clients, whatever its value,
-// and changes nothing — the job finishes bit-identically to the
-// daemon-free run without it.
+// TestSubmitLegacyWorkersOption: the retired options "workers" (the
+// intra-board worker count) and "recordregions" (which armed
+// incremental re-routing) are still accepted from old clients, whatever
+// their value, and change nothing: the job's snapshot is written
+// byte-identically to one without them, and the job finishes
+// bit-identically to the daemon-free run without them.
 func TestSubmitLegacyWorkersOption(t *testing.T) {
 	cfg := testConfig(t)
 	spec := testSpec(t, 6, nil)
 	wantFP, wantM := baseline(t, spec, cfg)
 
-	plain, err := buildSnapshot(spec, cfg)
+	written := func(spec JobSpec) ([]byte, error) {
+		snap, err := buildSnapshot(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = boardio.WriteSnapshot(&buf, snap)
+		return buf.Bytes(), err
+	}
+	plain, err := written(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int64{-5, 0, 4, 1 << 20} {
-		snap, err := buildSnapshot(testSpec(t, 6, map[string]int64{"workers": v}), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d rejected: %v", v, err)
-		}
-		if !slices.Equal(boardio.OptionInts(&snap.Opts), boardio.OptionInts(&plain.Opts)) {
-			t.Errorf("workers=%d changed the resolved options", v)
+	legacy := []string{"workers", "recordregions"}
+	for _, name := range legacy {
+		for _, v := range []int64{-5, 0, 1, 4, 1 << 20} {
+			got, err := written(testSpec(t, 6, map[string]int64{name: v}))
+			if err != nil {
+				t.Fatalf("%s=%d rejected: %v", name, v, err)
+			}
+			if !bytes.Equal(got, plain) {
+				t.Errorf("%s=%d changed the written snapshot", name, v)
+			}
 		}
 	}
 
@@ -603,18 +616,20 @@ func TestSubmitLegacyWorkersOption(t *testing.T) {
 	}
 	defer drainServer(t, s)
 
-	st, err := s.Submit(testSpec(t, 6, map[string]int64{"workers": 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin := waitTerminal(t, s, st.ID)
-	if fin.State != StateDone || fin.AuditOK == nil || !*fin.AuditOK {
-		t.Fatalf("job did not finish clean: %+v", fin)
-	}
-	if fp := fingerprintString(wantFP); fin.Fingerprint != fp {
-		t.Errorf("fingerprint = %s, want %s", fin.Fingerprint, fp)
-	}
-	if *fin.Metrics != wantM {
-		t.Errorf("metrics diverged from the daemon-free run:\n got  %+v\n want %+v", *fin.Metrics, wantM)
+	for _, name := range legacy {
+		st, err := s.Submit(testSpec(t, 6, map[string]int64{name: 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitTerminal(t, s, st.ID)
+		if fin.State != StateDone || fin.AuditOK == nil || !*fin.AuditOK {
+			t.Fatalf("%s: job did not finish clean: %+v", name, fin)
+		}
+		if fp := fingerprintString(wantFP); fin.Fingerprint != fp {
+			t.Errorf("%s: fingerprint = %s, want %s", name, fin.Fingerprint, fp)
+		}
+		if *fin.Metrics != wantM {
+			t.Errorf("%s: metrics diverged from the daemon-free run:\n got  %+v\n want %+v", name, *fin.Metrics, wantM)
+		}
 	}
 }

@@ -53,22 +53,6 @@ type Searcher struct {
 	sbuf     []node // start nodes; separate from nbuf, which Trace's DFS owns
 	viaFree  func(geom.Point) bool
 	seenConn map[layer.ConnID]struct{}
-
-	// Read-extent tracking (DESIGN §15). With track set, every channel
-	// window a search scans and every via site it probes through viaFree
-	// is accumulated into per-orientation bounding boxes, so incremental
-	// re-routing can test whether a later board edit could have changed
-	// this search's result. Off by default; the cost when off is one
-	// branch per scan.
-	track  bool
-	tbox   [2]trackBox // indexed by grid.Orientation
-	viaBox geom.Rect
-}
-
-// trackBox is a bounding box in one orientation's (channel, position)
-// coordinates. Empty when chs.Lo > chs.Hi.
-type trackBox struct {
-	chs, pos geom.Interval
 }
 
 // NewSearcher builds a Searcher for boards using cfg.
@@ -78,72 +62,6 @@ func NewSearcher(cfg grid.Config) *Searcher {
 		visited:  make(map[uint64]uint32, 1024),
 		seenConn: make(map[layer.ConnID]struct{}, 16),
 	}
-}
-
-// TrackReads enables or disables read-extent tracking and resets the
-// accumulated extents either way.
-func (s *Searcher) TrackReads(on bool) {
-	s.track = on
-	s.ResetReads()
-}
-
-// ResetReads clears the accumulated read extents; the incremental
-// router calls it before each routing turn.
-func (s *Searcher) ResetReads() {
-	for i := range s.tbox {
-		s.tbox[i] = trackBox{chs: geom.Iv(0, -1), pos: geom.Iv(0, -1)}
-	}
-	s.viaBox = geom.R(0, 0, -1, -1)
-}
-
-// ReadExtent returns conservative grid-coordinate bounding boxes of
-// everything the searches since the last reset read: cells covers every
-// channel cell whose occupancy could have influenced any result
-// (scanned windows and reached free intervals, widened by one cell so
-// the bounding segments that delimit each free interval are included);
-// vias covers every via site probed through a viaFree callback. Either
-// rectangle may be empty.
-func (s *Searcher) ReadExtent() (cells, vias geom.Rect) {
-	cells = geom.R(0, 0, -1, -1)
-	for o := range s.tbox {
-		tb := s.tbox[o]
-		if tb.chs.Empty() || tb.pos.Empty() {
-			continue
-		}
-		orient := grid.Orientation(o)
-		cells = cells.Union(geom.Bounding(
-			s.cfg.PointAt(orient, tb.chs.Lo, tb.pos.Lo),
-			s.cfg.PointAt(orient, tb.chs.Hi, tb.pos.Hi),
-		))
-	}
-	return cells, s.viaBox
-}
-
-// noteScan records that a search read the free/used structure of
-// channel ch over [lo, hi] on the current layer. The position window is
-// widened by one cell each side: a maximal free interval's extent is
-// delimited by the occupied cells just beyond it, so those cells are
-// part of what the scan observed.
-func (s *Searcher) noteScan(ch, lo, hi int) {
-	if !s.track {
-		return
-	}
-	tb := &s.tbox[s.l.Orient]
-	if tb.chs.Empty() {
-		tb.chs = geom.Iv(ch, ch)
-		tb.pos = geom.Iv(lo-1, hi+1)
-		return
-	}
-	tb.chs = geom.Iv(min(tb.chs.Lo, ch), max(tb.chs.Hi, ch))
-	tb.pos = geom.Iv(min(tb.pos.Lo, lo-1), max(tb.pos.Hi, hi+1))
-}
-
-// noteVia records that a search probed via site p through viaFree.
-func (s *Searcher) noteVia(p geom.Point) {
-	if !s.track {
-		return
-	}
-	s.viaBox = s.viaBox.Union(geom.Bounding(p, p))
 }
 
 // node is one visited maximal free interval, with its box-clipped
@@ -196,10 +114,8 @@ func (s *Searcher) startNodes(dst []node, p geom.Point) []node {
 	if touch.Empty() {
 		return dst
 	}
-	s.noteScan(ch, touch.Lo, touch.Hi)
 	s.l.Chan(ch).VisitFree(touch, func(iv geom.Interval) bool {
 		eff := iv.Intersect(s.poswin)
-		s.noteScan(ch, eff.Lo, eff.Hi)
 		dst = append(dst, node{ch: ch, iv: iv, eff: eff})
 		return true
 	})
@@ -246,10 +162,8 @@ func (s *Searcher) Trace(l *layer.Layer, a, b geom.Point, box geom.Rect) ([]Run,
 			if !s.chans.Contains(ch) {
 				continue
 			}
-			s.noteScan(ch, n.eff.Lo, n.eff.Hi)
 			s.l.Chan(ch).VisitFree(n.eff, func(iv geom.Interval) bool {
 				eff := iv.Intersect(s.poswin)
-				s.noteScan(ch, eff.Lo, eff.Hi)
 				s.nbuf = append(s.nbuf, node{ch: ch, iv: iv, eff: eff})
 				return true
 			})
@@ -375,10 +289,8 @@ func (s *Searcher) viasDFS(n node) {
 		if !s.chans.Contains(ch) {
 			continue
 		}
-		s.noteScan(ch, n.eff.Lo, n.eff.Hi)
 		s.l.Chan(ch).VisitFree(n.eff, func(iv geom.Interval) bool {
 			eff := iv.Intersect(s.poswin)
-			s.noteScan(ch, eff.Lo, eff.Hi)
 			s.viasDFS(node{ch: ch, iv: iv, eff: eff})
 			return true
 		})
@@ -399,9 +311,6 @@ func (s *Searcher) collectVias(n node) {
 			continue // a trace could never terminate at this site
 		}
 		p := s.cfg.PointAt(s.l.Orient, n.ch, pos)
-		if s.viaFree != nil {
-			s.noteVia(p)
-		}
 		if s.viaFree == nil || s.viaFree(p) {
 			s.outVias = append(s.outVias, p)
 		}

@@ -349,127 +349,3 @@ func TestTraceStraightLine(t *testing.T) {
 		t.Errorf("run = %+v, want channel 6 span [4..17]", runs[0])
 	}
 }
-
-// TestReadExtentCoversResultDeterminants is the soundness property
-// incremental memo adoption rests on: any mutation landing
-// strictly outside the tracked read extent of a search must leave that
-// search's result bit-identical. The test runs randomized traces with
-// tracking on, then flips the occupancy of free cells outside the
-// reported extent and demands the rerun produce exactly the same runs
-// (or exactly the same failure).
-func TestReadExtentCoversResultDeterminants(t *testing.T) {
-	cfg := grid.NewConfig(8, 8, 3, 2)
-	rng := rand.New(rand.NewSource(42))
-	s := NewSearcher(cfg)
-	s.TrackReads(true)
-
-	trials, perturbed := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		orient := grid.Orientation(rng.Intn(2))
-		l := randomLayer(rng, orient, cfg.ChannelCount(orient), cfg.ChannelLength(orient), rng.Intn(30))
-		a := cfg.GridOf(geom.Pt(rng.Intn(8), rng.Intn(8)))
-		b := cfg.GridOf(geom.Pt(rng.Intn(8), rng.Intn(8)))
-		if a == b {
-			continue
-		}
-		for _, p := range []geom.Point{a, b} {
-			ch, pos := cfg.ChanPos(orient, p)
-			l.Chan(ch).Add(pos, pos, layer.PinOwner)
-		}
-		box := geom.Bounding(a, b).Expand(rng.Intn(5)).Intersect(cfg.Bounds())
-
-		s.ResetReads()
-		runs1, ok1 := s.Trace(l, a, b, box)
-		want := append([]Run(nil), runs1...)
-		cells, vias := s.ReadExtent()
-		if !vias.Empty() {
-			t.Fatalf("trial %d: Trace with no via predicate reported via reads %v", trial, vias)
-		}
-		if ok1 && cells.Empty() {
-			t.Fatalf("trial %d: successful trace tracked no reads", trial)
-		}
-		trials++
-
-		// Occupy a handful of free cells outside the extent and rerun.
-		for i := 0; i < 30; i++ {
-			p := geom.Pt(rng.Intn(cfg.Width), rng.Intn(cfg.Height))
-			if p.In(cells) {
-				continue
-			}
-			ch, pos := cfg.ChanPos(orient, p)
-			seg := l.Add(ch, pos, pos, layer.ConnID(5000+i))
-			if seg == nil {
-				continue
-			}
-			perturbed++
-			runs2, ok2 := s.Trace(l, a, b, box)
-			if ok2 != ok1 {
-				t.Fatalf("trial %d: occupying %v outside read extent %v flipped the result %v -> %v",
-					trial, p, cells, ok1, ok2)
-			}
-			if len(runs2) != len(want) {
-				t.Fatalf("trial %d: occupying %v outside read extent changed the route shape", trial, p)
-			}
-			for k := range want {
-				if runs2[k] != want[k] {
-					t.Fatalf("trial %d: occupying %v outside read extent %v changed run %d: %v -> %v",
-						trial, p, cells, k, want[k], runs2[k])
-				}
-			}
-			l.Remove(seg)
-		}
-	}
-	if trials < 100 || perturbed < 200 {
-		t.Fatalf("degenerate test: %d trials, %d perturbations", trials, perturbed)
-	}
-}
-
-// TestReadExtentTracksViaProbes: every via site the search offers to the
-// viaFree predicate must lie inside the reported via extent, and
-// tracking must reset cleanly.
-func TestReadExtentTracksViaProbes(t *testing.T) {
-	cfg := grid.NewConfig(8, 8, 3, 2)
-	rng := rand.New(rand.NewSource(7))
-	s := NewSearcher(cfg)
-	s.TrackReads(true)
-
-	probedAny := false
-	for trial := 0; trial < 100; trial++ {
-		orient := grid.Orientation(rng.Intn(2))
-		l := randomLayer(rng, orient, cfg.ChannelCount(orient), cfg.ChannelLength(orient), rng.Intn(25))
-		a := cfg.GridOf(geom.Pt(rng.Intn(8), rng.Intn(8)))
-		ch, pos := cfg.ChanPos(orient, a)
-		l.Chan(ch).Add(pos, pos, layer.PinOwner)
-
-		s.ResetReads()
-		var probed []geom.Point
-		s.Vias(l, a, cfg.Bounds(), func(p geom.Point) bool {
-			probed = append(probed, p)
-			return p.X%2 == 0 // deny some, so rejected probes are tracked too
-		})
-		_, vias := s.ReadExtent()
-		for _, p := range probed {
-			probedAny = true
-			if !p.In(vias) {
-				t.Fatalf("trial %d: probed via %v outside reported via extent %v", trial, p, vias)
-			}
-		}
-	}
-	if !probedAny {
-		t.Fatal("degenerate test: no via was ever probed")
-	}
-
-	s.ResetReads()
-	cells, vias := s.ReadExtent()
-	if !cells.Empty() || !vias.Empty() {
-		t.Errorf("ResetReads left extents %v / %v", cells, vias)
-	}
-	s.TrackReads(false)
-	l := layer.NewLayer(grid.Horizontal, 0, cfg.ChannelCount(grid.Horizontal), cfg.ChannelLength(grid.Horizontal))
-	a := geom.Pt(3, 6)
-	l.Chan(6).Add(1, 1, layer.PinOwner)
-	s.Vias(l, a, cfg.Bounds(), func(geom.Point) bool { return true })
-	if cells, vias := s.ReadExtent(); !cells.Empty() || !vias.Empty() {
-		t.Error("tracking disabled but extents accumulated")
-	}
-}
