@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test fmt bench-check race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
+.PHONY: check vet build test fmt bench-check bench-smoke race soak-fleet soak-disk soak-slow microbench lint-metrics staticcheck vulncheck
 
 check: vet build test lint-metrics fmt bench-check staticcheck vulncheck
 
@@ -44,6 +44,27 @@ fmt:
 bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
+# The benchmark command itself, run short: every workload of
+# BENCHMARK.json, untraced and traced, for 4 s at seed 1. Each run must
+# exit 0 and end with a "correct":true line. bench-check compiles and
+# self-tests perfbench at a small scale; this runs the real command at
+# full scale, so a run that fails outright is caught here (a traced
+# half that finishes no operation, for one, reports +Inf, which the
+# JSON line cannot carry). CI runs it as its own job.
+bench-smoke:
+	@for w in table1 service eco; do \
+		for t in 0 1; do \
+			echo "bench-smoke: $$w --trace $$t"; \
+			out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 4 --trace $$t) || { \
+				printf '%s\n' "$$out" | tail -n 5; \
+				echo "bench-smoke: $$w --trace $$t exited non-zero"; exit 1; }; \
+			case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+			*'"correct":true'*) ;; \
+			*) echo "bench-smoke: $$w --trace $$t: last line is not \"correct\":true"; exit 1 ;; \
+			esac; \
+		done; \
+	done
+
 # The fleet chaos soak under the race detector: four workers plus a
 # coordinator in one process, scripted partitions, a heartbeat-muted
 # zombie and a full node kill, with every job required to finish
@@ -66,7 +87,7 @@ soak-fleet:
 # the coordinator to grrd's answer for each of those requests.
 soak-slow:
 	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestCandidateOrderDeterministic|TestFrontDoorMatchesGrrd'
-	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline|TestBatchSubmit'
+	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline'
 
 # The crash-consistency and disk-fault soak under the race detector:
 # the simfs replay model's own tests, the ALICE-style op-boundary

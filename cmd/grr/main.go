@@ -12,7 +12,6 @@
 //	grr -resume run.snap   # continue a crashed or aborted run
 //	grr -table1            # regenerate the paper's Table 1 end to end
 //	grr -table1 -scale 2   # quick, reduced-size variant
-//	grr -submit-batch http://127.0.0.1:8370 -deadline 30s a.brd b.brd
 //
 // Exit codes:
 //
@@ -127,14 +126,8 @@ func run() int {
 		dumpStats  = flag.Bool("stats", false, "dump the metrics registry (search effort, phase timings) to stderr after the run")
 
 		hangAt = flag.Int("fault-hang-at", 0, "fault injection: wedge the run inside the Nth segment placement (testing only)")
-
-		submitBatch = flag.String("submit-batch", "", "submit the positional .brd files as one batch to this grrd/coordinator base URL instead of routing locally")
-		deadline    = flag.Duration("deadline", 0, "with -submit-batch: end-to-end deadline granted to every job in the batch (0 = none)")
 	)
 	flag.Parse()
-	if *submitBatch != "" {
-		return runSubmitBatch(*submitBatch, *deadline, flag.Args())
-	}
 	explicit := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
@@ -343,9 +336,10 @@ func runSingle(ctx context.Context, cfg singleConfig, opts core.Options) int {
 	return routeAndReport(ctx, cfg, d, b, conns, r)
 }
 
-// runWithEdits routes the base design, applies the -edits script and
-// routes the edited design from scratch. Reports and artifacts describe
-// the edited board.
+// runWithEdits routes the base design, then routes the edited design
+// from scratch. The edited problem comes from boardio.EditDesign, as it
+// does in grrd, and a script it refuses stops the run before the base
+// route. Reports and artifacts describe the edited board.
 func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *board.Board, conns []core.Connection, opts core.Options) int {
 	ef, err := os.Open(cfg.edits)
 	if err != nil {
@@ -353,6 +347,10 @@ func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *b
 	}
 	edits, err := boardio.ReadEdits(ef)
 	ef.Close()
+	if err != nil {
+		return fail(err)
+	}
+	d2, b2, conns2, err := boardio.EditDesign(d, conns, edits)
 	if err != nil {
 		return fail(err)
 	}
@@ -374,27 +372,12 @@ func runWithEdits(ctx context.Context, cfg singleConfig, d *netlist.Design, b *b
 		return exitInternal
 	}
 
-	b2, err := board.New(d.GridConfig())
-	if err != nil {
-		return fail(err)
-	}
-	if err := d.PlacePins(b2); err != nil {
-		return fail(err)
-	}
-	for _, e := range edits {
-		if e.Op == core.EditBlock {
-			if err := b2.PlaceKeepout(e.Rect); err != nil {
-				return fail(fmt.Errorf("edit block %v: %w", e.Rect, err))
-			}
-		}
-	}
-
-	r2, err := core.New(b2, core.EditConns(conns, edits), opts)
+	r2, err := core.New(b2, conns2, opts)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Println("\nedited route:")
-	return routeAndReport(ctx, cfg, d, b2, r2.Conns, r2)
+	return routeAndReport(ctx, cfg, d2, b2, r2.Conns, r2)
 }
 
 // runResume reloads a -checkpoint snapshot and routes the rest of the

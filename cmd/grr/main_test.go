@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +9,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/boardio"
+	"repro/internal/workload"
 )
 
 // grrBin is the binary under test, built once by TestMain.
@@ -68,6 +72,47 @@ func asExitError(err error, target **exec.ExitError) bool {
 		*target = ee
 	}
 	return ok
+}
+
+// TestEditsRefuseBlockAcrossGridEdge: -edits builds the edited design
+// with grrd's builder (boardio.EditDesign), so a block that crosses the
+// routing grid's edge is refused before any routing, as POST
+// /jobs/{id}/edit refuses it, instead of being clipped to the board. A
+// block inside the grid still routes the edited board.
+func TestEditsRefuseBlockAcrossGridEdge(t *testing.T) {
+	spec, _ := workload.Table1Spec("kdj11-4L")
+	d, err := workload.Generate(spec.Scale(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	brd := filepath.Join(dir, "k4.brd")
+	if err := writeFile(brd, func(w io.Writer) error { return boardio.WriteDesign(w, d) }); err != nil {
+		t.Fatal(err)
+	}
+	script := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	out, code := runGrr(t, "-design", brd, "-edits", script("edge.edits", "block 84 0 200 2\n"))
+	if code != exitInternal {
+		t.Fatalf("block across the grid's edge: exit %d, want %d\n%s", code, exitInternal, out)
+	}
+	if !strings.Contains(out, "outside the [0,0..87,102] routing grid") {
+		t.Errorf("refusal does not name the grid:\n%s", out)
+	}
+	if strings.Contains(out, "base route:") {
+		t.Errorf("a refused script still routed the base design:\n%s", out)
+	}
+
+	out, code = runGrr(t, "-design", brd, "-edits", script("inside.edits", "block 40 40 44 44\n"))
+	if code != exitOK || !strings.Contains(out, "edited route:") || !strings.Contains(out, "connectivity verified") {
+		t.Errorf("block inside the grid: exit %d\n%s", code, out)
+	}
 }
 
 func TestExitUsageWithoutDesign(t *testing.T) {

@@ -16,16 +16,38 @@
 // they go quiet. Clients submit to the coordinator exactly as they
 // would to a single grrd.
 //
-// Endpoints:
+// Endpoints of a worker daemon (server.Server.Handler):
 //
-//	POST /jobs      submit {"design": ..., "conns": ..., "options": {...}}
+//	POST /jobs      submit {"design": ..., "conns": ..., "options": {...},
+//	                "deadline_ms": ...}
 //	GET  /jobs      list jobs
 //	GET  /jobs/{id} one job
+//	POST /jobs/{id}/edit    derive a job from a done one by an edit
+//	                        script {"edits": ..., "deadline_ms": ...}
+//	POST /jobs/{id}/cancel  the coordinator's supersede signal
 //	GET  /healthz   liveness
-//	GET  /readyz    readiness (503 while draining)
+//	GET  /readyz    readiness (503 naming the posture: saturated,
+//	                draining, fenced or disk_degraded)
+//	GET  /load      the occupancy report heartbeats carry
+//	POST /fleet/steal       give up one queued job to a peer
+//	POST /fleet/handoff     adopt a peer's journal record
+//	POST /fleet/hedge-arm   gate a job behind the hedge commit claim
 //	GET  /metrics   Prometheus text exposition (queue, jobs, retries,
 //	                journal, router search effort and phase timings)
 //	GET  /debug/pprof/...  net/http/pprof, only with -pprof
+//
+// Endpoints of the coordinator (fleet.Coordinator.Handler):
+//
+//	POST /jobs      place a job on a worker, or refuse it as a worker would
+//	GET  /jobs      the fleet-wide job list
+//	GET  /jobs/{id} one job, from the node that holds it
+//	POST /join      a worker joins the fleet
+//	POST /heartbeat a worker's liveness and load
+//	POST /hedge/claim       arbitrate a hedged job's commit
+//	GET  /nodes     the coordinator's view of the fleet
+//	GET  /healthz   liveness
+//	GET  /readyz    200 while at least one node is schedulable
+//	GET  /metrics   fleet series
 //
 // On startup grrd prints one line, "grrd: listening on ADDR", and then
 // recovers any interrupted jobs from the journal before serving new
@@ -87,10 +109,8 @@ func run() int {
 		retryBase  = flag.Duration("retry-base", 10*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
 		retryMax   = flag.Duration("retry-max", 2*time.Second, "retry backoff cap")
 		maxBudget  = flag.Duration("max-time-budget", 0, "cap every job's routing time budget (0 = leave job budgets alone)")
-		ckEvery    = flag.Int("checkpoint-every", 8, "default checkpoint cadence for jobs that set none")
 		drainMax   = flag.Duration("drain-timeout", 30*time.Second, "how long a graceful drain may take")
 		diskProbe  = flag.Duration("disk-probe-every", 5*time.Second, "how often a disk-degraded daemon re-probes the journal disk (negative disables)")
-		retrySeed  = flag.Int64("retry-seed", 0, "retry jitter RNG seed (0 = derive from entropy each start)")
 		headerMax  = flag.Duration("read-header-timeout", 5*time.Second, "how long a client may take to send request headers")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
@@ -129,21 +149,19 @@ func run() int {
 	reg := obs.NewRegistry()
 	logger := obs.NewLogger(os.Stderr)
 	cfg := server.Config{
-		NodeName:        *nodeName,
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		JournalDir:      *journalDir,
-		MaxAttempts:     *maxAtt,
-		RetryBase:       *retryBase,
-		RetryMax:        *retryMax,
-		RetrySeed:       *retrySeed,
-		MaxTimeBudget:   *maxBudget,
-		CheckpointEvery: *ckEvery,
-		DrainBudget:     *drainMax,
-		DiskProbeEvery:  *diskProbe,
-		MaxBodyBytes:    *maxBody,
-		Metrics:         reg,
-		Log:             logger,
+		NodeName:       *nodeName,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		JournalDir:     *journalDir,
+		MaxAttempts:    *maxAtt,
+		RetryBase:      *retryBase,
+		RetryMax:       *retryMax,
+		MaxTimeBudget:  *maxBudget,
+		DrainBudget:    *drainMax,
+		DiskProbeEvery: *diskProbe,
+		MaxBodyBytes:   *maxBody,
+		Metrics:        reg,
+		Log:            logger,
 	}
 	if *joinURL != "" {
 		// Hedge commits arbitrate through the coordinator: before a

@@ -2,18 +2,22 @@ package boardio
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
+	"repro/internal/board"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/netlist"
 )
 
-// This file is the edit-script codec: the design deltas core.EditConns
-// and the edited board take (core.Edit), as a line-oriented text format
-// shared by `grr -edits` and grrd's POST /jobs/{id}/edit body:
+// This file is the edit-script codec and the one builder of an edited
+// problem (EditDesign). The codec writes the design deltas core.Edit
+// describes as a line-oriented text format shared by `grr -edits` and
+// grrd's POST /jobs/{id}/edit body:
 //
 //	block <minx> <miny> <maxx> <maxy>          new keepout, grid units
 //	remove-net <name>                          drop every connection of the net
@@ -108,4 +112,52 @@ func ReadEdits(r io.Reader) ([]core.Edit, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// EditDesign builds the edited problem an edit script describes, for
+// `grr -edits` and grrd's POST /jobs/{id}/edit alike, so both refuse the
+// same scripts and route the same board (DESIGN §15.3). It checks every
+// edit against d's routing grid, appends the block rectangles to a copy
+// of d as keepouts, trial-places that copy — pins, then d's keepouts,
+// then the blocks — and derives the connections with core.EditConns.
+// The placed board is ready to route. d and conns are not modified.
+// Errors name the edit and carry no package prefix; callers add their
+// own.
+func EditDesign(d *netlist.Design, conns []core.Connection, edits []core.Edit) (*netlist.Design, *board.Board, []core.Connection, error) {
+	if len(edits) == 0 {
+		return nil, nil, nil, errors.New("edit: no edits")
+	}
+	d2 := *d
+	d2.Keepouts = append([]geom.Rect(nil), d.Keepouts...)
+	bounds := d2.GridConfig().Bounds()
+	for i, e := range edits {
+		switch e.Op {
+		case core.EditBlock:
+			if e.Rect.Empty() || !bounds.Contains(e.Rect) {
+				return nil, nil, nil, fmt.Errorf("edit %d: block %v outside the %v routing grid", i, e.Rect, bounds)
+			}
+			d2.Keepouts = append(d2.Keepouts, e.Rect)
+		case core.EditRemoveNet:
+			if e.Net == "" {
+				return nil, nil, nil, fmt.Errorf("edit %d: remove-net needs a net name", i)
+			}
+		case core.EditAddConn:
+			if !e.Conn.A.In(bounds) || !e.Conn.B.In(bounds) {
+				return nil, nil, nil, fmt.Errorf("edit %d: add-conn %v-%v outside the %v routing grid",
+					i, e.Conn.A, e.Conn.B, bounds)
+			}
+		default:
+			return nil, nil, nil, fmt.Errorf("edit %d: unknown op %d", i, e.Op)
+		}
+	}
+	// A block overlapping a pin or another keepout fails here, not in
+	// every attempt of a route.
+	b, err := board.New(d2.GridConfig())
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("edit: %w", err)
+	}
+	if err := d2.PlacePins(b); err != nil {
+		return nil, nil, nil, fmt.Errorf("edit: %w", err)
+	}
+	return &d2, b, core.EditConns(conns, edits), nil
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// (defaults 10ms, 2s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// RetrySeed seeds the backoff jitter (0 = fixed default seed; the
-	// coordinator's jitter has no correctness role).
-	RetrySeed int64
 	// Transport is the HTTP transport for all coordinator→node calls —
 	// the seam the chaos tests wire a faultinject.Partition into. Nil
 	// uses http.DefaultTransport.
@@ -91,6 +88,10 @@ type Config struct {
 	SlowFactor float64
 }
 
+// retrySeed seeds the coordinator's backoff jitter, which has no
+// correctness role; a fixed seed replays its schedule.
+const retrySeed = 1
+
 func (c *Config) setDefaults() {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
@@ -103,9 +104,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 2 * time.Second
-	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = 1
 	}
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 3
@@ -182,7 +180,7 @@ type Coordinator struct {
 	obs    *fleetObs
 	log    *obs.Logger
 	// backoff spaces transport retries of one forward (RetryBase,
-	// RetryMax, RetrySeed).
+	// RetryMax and the fixed seed retrySeed).
 	backoff *server.Backoff
 
 	mu      sync.Mutex
@@ -207,7 +205,7 @@ func New(cfg Config) *Coordinator {
 		client:  &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second},
 		obs:     newFleetObs(cfg.Metrics),
 		log:     cfg.Log,
-		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
+		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
 		nodes:   make(map[string]*node),
 		jobs:    make(map[string]*jobEntry),
 		window:  obs.NewWindow(256),

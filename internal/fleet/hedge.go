@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/server"
@@ -140,10 +141,13 @@ func (c *Coordinator) updateSlow() {
 		median(func(s signals) float64 { return s.dw }),
 	}
 
+	names := [3]string{"fwd", "queue", "disk"}
 	slowCount := int64(0)
 	for _, s := range all {
 		vals := [3]float64{s.fwd, s.qw, s.dw}
-		latch, clear := false, true
+		clear := true
+		var crossed []string // signals over their threshold
+		var why []any        // their medians and thresholds, for the log
 		for i, v := range vals {
 			m := medians[i]
 			if v <= 0 || m <= 0 {
@@ -154,7 +158,9 @@ func (c *Coordinator) updateSlow() {
 				threshold = slowFloorMs
 			}
 			if v > threshold {
-				latch = true
+				crossed = append(crossed, names[i])
+				why = append(why, names[i]+"_median_ms", fmt.Sprintf("%.1f", m),
+					names[i]+"_threshold_ms", fmt.Sprintf("%.1f", threshold))
 			}
 			if v > threshold/2 {
 				clear = false
@@ -162,16 +168,20 @@ func (c *Coordinator) updateSlow() {
 		}
 		was := s.n.Slow
 		switch {
-		case latch:
+		case len(crossed) > 0:
 			s.n.Slow = true
 		case clear:
 			s.n.Slow = false
 		}
 		if s.n.Slow != was {
 			c.obs.slowTransitions.Inc()
-			c.log.Log("fleet_slow", "node", s.n.Name, "slow", s.n.Slow,
-				"fwd_ms", fmt.Sprintf("%.1f", s.fwd), "queue_ms", fmt.Sprintf("%.1f", s.qw),
+			kv := []any{"node", s.n.Name, "slow", s.n.Slow}
+			if len(crossed) > 0 {
+				kv = append(kv, "signal", strings.Join(crossed, ","))
+			}
+			kv = append(kv, "fwd_ms", fmt.Sprintf("%.1f", s.fwd), "queue_ms", fmt.Sprintf("%.1f", s.qw),
 				"disk_ms", fmt.Sprintf("%.1f", s.dw))
+			c.log.Log("fleet_slow", append(kv, why...)...)
 		}
 		if s.n.Slow {
 			slowCount++

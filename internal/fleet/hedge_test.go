@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -178,13 +180,15 @@ func TestMovedHedgeCopyKeepsPrimary(t *testing.T) {
 
 // TestUpdateSlow walks updateSlow through scripted heartbeats, one
 // sweep per step, and checks which nodes hold the slow latch after
-// each. Queue waits and disk-write latencies are in milliseconds.
+// each, and what the sweep logged. Queue waits and disk-write latencies
+// are in milliseconds.
 func TestUpdateSlow(t *testing.T) {
 	type reading struct{ qw, dw float64 }
 	type step struct {
 		loads  map[string]reading // alive nodes and their readings
 		fenced []string           // nodes fenced before the sweep
 		slow   []string           // latched after the sweep, in name order
+		log    []string           // fields the sweep's log must carry
 	}
 	flat := func(dw float64) map[string]reading {
 		return map[string]reading{"a": {dw: 2}, "b": {dw: 2}, "c": {dw: 2}, "d": {dw: dw}}
@@ -198,9 +202,10 @@ func TestUpdateSlow(t *testing.T) {
 			{loads: map[string]reading{"a": {qw: 10, dw: 1}, "b": {qw: 1000, dw: 50}}},
 		}},
 		{"four nodes latch a disk outlier and clear below half the threshold", []step{
-			{loads: flat(30), slow: []string{"d"}},
-			{loads: flat(5), slow: []string{"d"}}, // above 6/2: hysteresis holds
-			{loads: flat(2.5)},                    // below 6/2: cleared
+			{loads: flat(30), slow: []string{"d"}, log: []string{
+				"node=d slow=true signal=disk ", "disk_ms=30.0 disk_median_ms=2.0 disk_threshold_ms=6.0"}},
+			{loads: flat(5), slow: []string{"d"}},                         // above 6/2: hysteresis holds
+			{loads: flat(2.5), log: []string{"node=d slow=false fwd_ms"}}, // below 6/2: cleared
 		}},
 		{"readings under the floor never latch", []step{
 			{loads: map[string]reading{"a": {dw: 0.1}, "b": {dw: 0.1}, "c": {dw: 0.1}, "d": {dw: 0.9}}},
@@ -216,7 +221,8 @@ func TestUpdateSlow(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(Config{HeartbeatEvery: time.Hour})
+			var log bytes.Buffer
+			c := New(Config{HeartbeatEvery: time.Hour, Log: obs.NewLogger(&log)})
 			defer c.Close()
 			for i, st := range tc.steps {
 				c.mu.Lock()
@@ -233,7 +239,13 @@ func TestUpdateSlow(t *testing.T) {
 				}
 				c.mu.Unlock()
 
+				log.Reset()
 				c.updateSlow()
+				for _, want := range st.log {
+					if !strings.Contains(log.String(), want) {
+						t.Errorf("step %d: log lacks %q:\n%s", i, want, log.String())
+					}
+				}
 
 				c.mu.Lock()
 				var slow []string

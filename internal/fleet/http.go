@@ -23,7 +23,6 @@ import (
 //	                refuses it (400, 413; a node's 400 comes back with
 //	                the node's error text), or shed with 429 +
 //	                Retry-After when no node can take it
-//	POST /jobs/batch  submit many; each job placed as by POST /jobs
 //	GET  /jobs      fleet-wide job list (proxied node views merged with
 //	                the coordinator's own results and pending handoffs)
 //	GET  /jobs/{id} one job, proxied to the node of its claim winner,
@@ -41,7 +40,6 @@ import (
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", c.handleSubmit)
-	mux.HandleFunc("POST /jobs/batch", c.handleBatch)
 	mux.HandleFunc("GET /jobs", c.handleList)
 	mux.HandleFunc("GET /jobs/{id}", c.handleStatus)
 	mux.HandleFunc("POST /join", c.handleJoin)
@@ -154,8 +152,7 @@ type placement struct {
 // budget is recomputed, so each node sees only what is actually left,
 // and a budget that dies mid-walk stops the walk with 504. A node's 400
 // ends the walk too: every node runs the same checks, so a spec one
-// refuses, all refuse. Used by both the single-submit and batch
-// handlers.
+// refuses, all refuse.
 func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 	budget, err := server.ValidateDeadline(spec.DeadlineMs)
 	if err != nil {
@@ -211,30 +208,6 @@ func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 	}
 	c.obs.rejected.Inc()
 	return placement{code: http.StatusTooManyRequests, retryAfter: retryAfter, errMsg: msg}
-}
-
-// handleBatch fans a batch out through the normal placement pipeline,
-// one job at a time, after grrd's own batch request step — each job
-// reports its own acceptance or refusal. 200 whenever the batch itself
-// was well-formed. The body cap is four times a single submit's: a
-// batch forwards as single jobs, never whole.
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	specs, code, err := server.DecodeBatch(w, r, 64<<20)
-	if err != nil {
-		writeJSON(w, code, httpError{Error: err.Error()})
-		return
-	}
-	resp := server.BatchResponse{Jobs: make([]server.BatchResult, len(specs))}
-	for i, spec := range specs {
-		p := c.placeJob(spec)
-		if !p.accepted {
-			resp.Jobs[i] = server.BatchResult{Error: p.errMsg, Code: p.code}
-			continue
-		}
-		resp.Jobs[i] = server.BatchResult{Status: &p.st}
-		resp.Accepted++
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleClaim arbitrates a hedge commit claim from a worker node.

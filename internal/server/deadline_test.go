@@ -51,11 +51,12 @@ func TestDeadlineValidation(t *testing.T) {
 // job's estimated cost is refused at admission with 504 + Retry-After,
 // not accepted and doomed.
 func TestDeadlineRefusedWhenUnaffordable(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.ConnCost = time.Second // every connection "costs" a second
-	s, err := New(cfg)
+	s, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // three attempts train the estimate: a second a connection
+		s.connCost.Observe(1)
 	}
 	defer drainServer(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -189,91 +190,5 @@ func TestJournalDeadlineTokenRoundTrip(t *testing.T) {
 		if bytes.Contains(buf.Bytes(), []byte("\n"+dir)) {
 			t.Errorf("record without %s carries a %q line:\n%s", strings.TrimSpace(dir), dir, buf.String())
 		}
-	}
-}
-
-// TestBatchSubmit: POST /jobs/batch fans out through the normal
-// admission path — per-item verdicts, envelope deadline inheritance,
-// bounded batch size.
-func TestBatchSubmit(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.QueueDepth = 8
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainServer(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	envelope := int64(60_000)
-	req := BatchRequest{
-		Jobs: []JobSpec{
-			testSpec(t, 5, nil),
-			{Design: "not a design"},
-			testSpec(t, 6, nil),
-		},
-		DeadlineMs: &envelope,
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/jobs/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch = %d, want 200", resp.StatusCode)
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Accepted != 2 || len(br.Jobs) != 3 {
-		t.Fatalf("accepted %d of %d results, want 2 of 3", br.Accepted, len(br.Jobs))
-	}
-	if br.Jobs[1].Status != nil || br.Jobs[1].Code != http.StatusBadRequest {
-		t.Errorf("bad item verdict = %+v, want code 400", br.Jobs[1])
-	}
-	for _, i := range []int{0, 2} {
-		if br.Jobs[i].Status == nil {
-			t.Fatalf("item %d refused: %+v", i, br.Jobs[i])
-		}
-		fin := waitTerminal(t, s, br.Jobs[i].Status.ID)
-		if fin.State != StateDone {
-			t.Errorf("item %d: %+v", i, fin)
-		}
-	}
-
-	// The envelope deadline reached the journal: both accepted jobs
-	// carry a non-zero absolute deadline in their durable records.
-	recs, err := LoadRecords(cfg.JournalDir, func(path string, err error) {
-		t.Errorf("corrupt journal record %s: %v", path, err)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.Deadline.IsZero() {
-			t.Errorf("job %s journaled without the envelope deadline", rec.ID)
-		}
-	}
-
-	// An oversized batch is refused whole.
-	huge := BatchRequest{Jobs: make([]JobSpec, MaxBatchJobs+1)}
-	body, err = json.Marshal(huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.Post(ts.URL+"/jobs/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized batch = %d, want 400", resp2.StatusCode)
 	}
 }

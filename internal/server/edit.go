@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/board"
 	"repro/internal/boardio"
 	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 // This file is grrd's design-edit path (DESIGN §15.2): POST
@@ -29,12 +27,12 @@ var (
 // connection list with removed nets trivialized and added connections
 // appended, and its router options verbatim. The parent must be done.
 // Admission — the posture gates, the deadline check and the admit
-// edge — is Submit's.
+// edge — is Submit's; the job_submitted line names the parent.
 func (s *Server) SubmitEdit(parentID string, edits []core.Edit, deadlineMs *int64) (Status, error) {
 	if err := s.admissionClosed(); err != nil {
 		return Status{}, err
 	}
-	if len(edits) == 0 {
+	if len(edits) == 0 { // EditDesign refuses it too, but only after the parent lookup
 		s.obs.rejectSpec.Inc()
 		return Status{}, fmt.Errorf("server: edit: no edits")
 	}
@@ -62,55 +60,24 @@ func (s *Server) SubmitEdit(parentID string, edits []core.Edit, deadlineMs *int6
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
 	}
-	j := &Job{snap: snap}
-	return s.admit(j, evEdit, budget, "parent", parentID, "edits", len(edits), "conns", len(snap.Conns))
+	return s.admit(&Job{snap: snap}, budget, "parent", parentID, "edits", len(edits), "conns", len(snap.Conns))
 }
 
-// editSnapshot materializes the edited problem: the parent design plus
-// block keepouts, the edited connection list, the parent's options, a
-// zero-progress checkpoint. Validation is eager — a bad edit script is
-// the client's mistake and earns a 400, not a failed job.
+// editSnapshot materializes the edited problem: boardio.EditDesign's
+// design and connections, the parent's options and a zero-progress
+// checkpoint. Validation is eager — a bad edit script is the client's
+// mistake and earns a 400, not a failed job.
 func editSnapshot(parent *boardio.Snapshot, edits []core.Edit) (*boardio.Snapshot, error) {
-	d2 := *parent.Design
-	d2.Keepouts = append([]geom.Rect(nil), parent.Design.Keepouts...)
-	bounds := d2.GridConfig().Bounds()
-	for i, e := range edits {
-		switch e.Op {
-		case core.EditBlock:
-			if e.Rect.Empty() || !bounds.Contains(e.Rect) {
-				return nil, fmt.Errorf("server: edit %d: block %v outside the %v routing grid", i, e.Rect, bounds)
-			}
-			d2.Keepouts = append(d2.Keepouts, e.Rect)
-		case core.EditRemoveNet:
-			if e.Net == "" {
-				return nil, fmt.Errorf("server: edit %d: remove-net needs a net name", i)
-			}
-		case core.EditAddConn:
-			if !e.Conn.A.In(bounds) || !e.Conn.B.In(bounds) {
-				return nil, fmt.Errorf("server: edit %d: add-conn %v-%v outside the %v routing grid",
-					i, e.Conn.A, e.Conn.B, bounds)
-			}
-		default:
-			return nil, fmt.Errorf("server: edit %d: unknown op %d", i, e.Op)
-		}
-	}
-	// Trial-place the edited board now: a block rectangle overlapping a
-	// pin (or existing keepout) would otherwise fail every attempt of
-	// the derived job.
-	b, err := board.New(d2.GridConfig())
+	d, _, conns, err := boardio.EditDesign(parent.Design, parent.Conns, edits)
 	if err != nil {
-		return nil, fmt.Errorf("server: edit: %w", err)
-	}
-	if err := d2.PlacePins(b); err != nil {
-		return nil, fmt.Errorf("server: edit: %w", err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	opts := parent.Opts
 	opts.CheckpointSink = nil // runtime-only; workers re-attach
-	conns2 := core.EditConns(parent.Conns, edits)
 	return &boardio.Snapshot{
-		Design: &d2,
-		Conns:  conns2,
+		Design: d,
+		Conns:  conns,
 		Opts:   opts,
-		Check:  freshCheckpoint(len(conns2)),
+		Check:  freshCheckpoint(len(conns)),
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/boardio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // postEdit POSTs an edit script against a job and returns the response.
@@ -34,6 +36,8 @@ func postEdit(t *testing.T, base, id, edits string) *http.Response {
 // from scratch.
 func TestEditEndpoint(t *testing.T) {
 	cfg := testConfig(t)
+	var log syncBuffer
+	cfg.Log = obs.NewLogger(&log)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +97,16 @@ func TestEditEndpoint(t *testing.T) {
 	if child.ID == st.ID {
 		t.Fatal("edit reused the parent's job ID")
 	}
+	// The derived job is admitted along the admit edge, naming its parent.
+	var admitted string
+	for _, line := range strings.Split(string(log.Bytes()), "\n") {
+		if strings.Contains(line, "event=job_submitted job="+child.ID+" ") {
+			admitted = line
+		}
+	}
+	if !strings.Contains(admitted, " parent="+st.ID+" ") {
+		t.Errorf("derived job's job_submitted line %q does not name parent %s", admitted, st.ID)
+	}
 
 	cfin := waitTerminal(t, s, child.ID)
 	if cfin.State != StateDone || cfin.AuditOK == nil || !*cfin.AuditOK {
@@ -115,7 +129,8 @@ func TestEditEndpoint(t *testing.T) {
 
 // TestEditEndpointRefusals: the edit endpoint's error contract — 404
 // for an unknown parent, 409 for one that is not done yet, 400 for a
-// bad script or an edit that doesn't fit the parent's board.
+// bad script or an edit that doesn't fit the parent's board, even in
+// part.
 func TestEditEndpointRefusals(t *testing.T) {
 	cfg := testConfig(t)
 	blk := faultinject.BlockAt(1)
@@ -155,6 +170,11 @@ func TestEditEndpointRefusals(t *testing.T) {
 	}
 	if resp := postEdit(t, ts.URL, st.ID, "block 0 0 100000 100000\n"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-bounds block: status = %d, want 400", resp.StatusCode)
+	}
+	// A block that crosses the grid's right edge ([0,0..93,57] here) is
+	// refused whole, not clipped; grr -edits refuses it too.
+	if resp := postEdit(t, ts.URL, st.ID, "block 84 0 200 2\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("block across the grid's edge: status = %d, want 400", resp.StatusCode)
 	}
 	drainServer(t, s)
 }

@@ -53,15 +53,12 @@ func (s *Server) admitDeadline(deadline time.Time, conns int) error {
 	return nil
 }
 
-// estimateCost predicts how long routing conns connections takes here:
-// Config.ConnCost when pinned, otherwise the EWMA learned from this
+// estimateCost predicts how long routing conns connections takes here,
+// from the EWMA of attempt seconds per connection learned from this
 // node's own completed attempts. Zero means "no estimate yet" (fewer
 // than three attempts trained it) — admission then only rejects
 // deadlines that have already expired.
 func (s *Server) estimateCost(conns int) time.Duration {
-	if s.cfg.ConnCost > 0 {
-		return time.Duration(conns) * s.cfg.ConnCost
-	}
 	if s.connCost.Samples() < 3 {
 		return 0
 	}

@@ -23,6 +23,8 @@ import (
 //	                applying an edit script (the boardio edits format);
 //	                202 + the derived job's Status, 404 unknown parent,
 //	                409 parent not done, else the usual submit codes
+//	POST /jobs/{id}/cancel  supersede a hedged copy: 200 + its state,
+//	                404 if unknown
 //	GET  /healthz   liveness: 200 while the process serves at all
 //	GET  /readyz    readiness: 200 ready, 503 with a body naming WHY
 //	                not — "draining", "saturated" or "fenced" — so a
@@ -34,6 +36,8 @@ import (
 //	                     record, 204 when nothing is stealable
 //	POST /fleet/handoff  adopt a journal record from a peer: 202 +
 //	                     Status, or the usual 429/503 shedding
+//	POST /fleet/hedge-arm  gate a job behind the coordinator's commit
+//	                     claim: 200 + its state and whether it armed
 //	GET  /metrics   Prometheus text exposition of the daemon's registry
 //	                (only when Config.Metrics is set)
 //
@@ -44,7 +48,6 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("POST /jobs/batch", s.handleBatch)
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
@@ -154,9 +157,9 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
-// submitCode maps a Submit/Adopt refusal to its HTTP status and
-// Retry-After hint ("" = none). One table for single submits, batch
-// items and the coordinator's forward path, so the codes can't drift.
+// submitCode maps a Submit or SubmitEdit refusal to its HTTP status
+// and Retry-After hint ("" = none). One table for submits and edits, so
+// the codes can't drift.
 func (s *Server) submitCode(err error) (code int, retryAfter string) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -219,30 +222,6 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request, maxBytes int64) (JobSpec
 	return spec, 0, nil
 }
 
-// DecodeBatch is DecodeSpec for POST /jobs/batch: the same body rules,
-// then the batch's own — at least one job and at most MaxBatchJobs, or
-// 400 — and the envelope's deadline_ms copied into every job that
-// carries none. Each job is then admitted on its own.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]JobSpec, int, error) {
-	var req BatchRequest
-	if err := decodeStrict(w, r, maxBytes, &req); err != nil {
-		return nil, bodyErrCode(err), fmt.Errorf("bad batch: %w", err)
-	}
-	switch {
-	case len(req.Jobs) == 0:
-		return nil, http.StatusBadRequest, errors.New("bad batch: no jobs")
-	case len(req.Jobs) > MaxBatchJobs:
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("bad batch: %d jobs exceeds the %d maximum", len(req.Jobs), MaxBatchJobs)
-	}
-	for i := range req.Jobs {
-		if req.Jobs[i].DeadlineMs == nil {
-			req.Jobs[i].DeadlineMs = req.DeadlineMs
-		}
-	}
-	return req.Jobs, 0, nil
-}
-
 // decodeStrict decodes one JSON request body of at most maxBytes into
 // v, refusing fields v does not have.
 func decodeStrict(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
@@ -259,60 +238,6 @@ func bodyErrCode(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// BatchRequest is the POST /jobs/batch payload: up to MaxBatchJobs
-// specs submitted in one request. DeadlineMs, when set, is the batch
-// envelope deadline: every job that does not carry its own deadline_ms
-// inherits it. Each job gets the same absolute deadline — the batch
-// routes in parallel across the fleet, so dividing the budget among
-// jobs would punish parallelism the fleet actually delivers.
-type BatchRequest struct {
-	Jobs       []JobSpec `json:"jobs"`
-	DeadlineMs *int64    `json:"deadline_ms,omitempty"`
-}
-
-// BatchResult is one job's outcome within a batch response: its queued
-// Status, or the refusal error plus the HTTP status code a single
-// submit would have answered with.
-type BatchResult struct {
-	Status *Status `json:"status,omitempty"`
-	Error  string  `json:"error,omitempty"`
-	Code   int     `json:"code,omitempty"`
-}
-
-// BatchResponse is the POST /jobs/batch response body.
-type BatchResponse struct {
-	Jobs     []BatchResult `json:"jobs"`
-	Accepted int           `json:"accepted"`
-}
-
-// MaxBatchJobs bounds one batch request (request hardening: a batch is
-// a convenience, not a bulk-import channel).
-const MaxBatchJobs = 256
-
-// handleBatch admits N jobs in one request. Admission is per-job:
-// accepted jobs run even when siblings are refused, and each item
-// reports its own status or refusal. The response is 200 whenever the
-// batch itself was well-formed — per-item codes live in the items.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	specs, code, err := DecodeBatch(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		s.writeJSON(w, code, httpError{Error: err.Error()})
-		return
-	}
-	resp := BatchResponse{Jobs: make([]BatchResult, len(specs))}
-	for i, spec := range specs {
-		st, err := s.Submit(spec)
-		if err != nil {
-			code, _ := s.submitCode(err)
-			resp.Jobs[i] = BatchResult{Error: err.Error(), Code: code}
-			continue
-		}
-		resp.Jobs[i] = BatchResult{Status: &st}
-		resp.Accepted++
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // editRequest is the POST /jobs/{id}/edit payload: the edit script in

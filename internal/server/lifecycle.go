@@ -20,8 +20,7 @@ import (
 type event int
 
 const (
-	evAdmit      event = iota // Submit: a new job is queued
-	evEdit                    // SubmitEdit: a new derived job is queued
+	evAdmit      event = iota // Submit or SubmitEdit: a new job is queued
 	evAdopt                   // Adopt: a peer's record is queued here
 	evRecover                 // New: a live journal record is requeued
 	evStart                   // a worker starts an attempt
@@ -113,8 +112,6 @@ var (
 var edges = [numEvents]edge{
 	evAdmit: {to: atQueued, slot: slotTake, queue: true, write: writeMust,
 		count: []string{"grr_jobs_submitted_total"}, log: "job_submitted"},
-	evEdit: {to: atQueued, slot: slotTake, queue: true, write: writeMust,
-		count: []string{"grr_jobs_submitted_total"}, log: "job_edit_submitted"},
 	evAdopt: {from: []at{atHandedOff}, to: atQueued, slot: slotTake, queue: true, write: writeMust,
 		count: []string{"grr_jobs_adopted_total"}, log: "job_adopted"},
 	evRecover: {from: []at{atQueued, atRunning, atRetrying, atInterrupted}, to: atQueued,

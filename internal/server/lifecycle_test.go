@@ -499,7 +499,6 @@ var oracleEdges = map[string]struct {
 	to   string
 }{
 	"job_submitted":       {[]string{"new"}, "queued"},
-	"job_edit_submitted":  {[]string{"new"}, "queued"},
 	"job_adopted":         {[]string{"new", "handed_off"}, "queued"},
 	"job_recovered":       {[]string{"queued", "running", "retrying", "interrupted", "parked"}, "queued"},
 	"job_running":         {[]string{"queued"}, "running"},

@@ -43,6 +43,10 @@ var (
 	ErrDeadline = errors.New("server: deadline cannot be met")
 )
 
+// checkpointEvery is the checkpoint cadence, in routing attempts, of a
+// job whose spec sets none.
+const checkpointEvery = 8
+
 // MaxDeadlineMs bounds deadline_ms, enforced with a 400 (request
 // hardening): it must be in (0, MaxDeadlineMs]. The bound is generous —
 // the point is rejecting nonsense (negative, zero, or absurd values from
@@ -87,9 +91,6 @@ type Config struct {
 	// for more (or for none) gets exactly this much. Zero leaves job
 	// budgets alone.
 	MaxTimeBudget time.Duration
-	// CheckpointEvery is the checkpoint cadence for jobs that don't set
-	// their own (default 8 routing attempts).
-	CheckpointEvery int
 	// BoardHook, when set, is applied to every job's board after restore
 	// and before routing — the seam the fault-injection tests use to
 	// install interposers (veto schedules, crashers, blockers).
@@ -121,17 +122,10 @@ type Config struct {
 	// posture latched until restart). It also derives the Retry-After
 	// header on 507 disk-degraded responses.
 	DiskProbeEvery time.Duration
-	// MaxBodyBytes caps the HTTP request body of job submissions,
-	// single and batch (default 16 MiB). Oversize requests are refused
+	// MaxBodyBytes caps the HTTP request body of job submissions and
+	// edits (default 16 MiB). Oversize requests are refused
 	// with 413 before any parsing happens.
 	MaxBodyBytes int64
-	// ConnCost, when positive, fixes the per-connection routing-cost
-	// estimate the deadline admission check uses (remaining budget <
-	// conns × estimate → ErrDeadline). Zero (the default) learns the
-	// estimate from this node's own completed attempts — an EWMA of
-	// attempt seconds per connection — and refuses nothing until at
-	// least three attempts have trained it.
-	ConnCost time.Duration
 	// ClaimCommit, when set, is the fleet's hedged-execution commit
 	// gate: before journaling a terminal state for a job whose record
 	// carries a hedge token, the node asks the coordinator whether this
@@ -166,9 +160,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.DiskProbeEvery == 0 {
 		c.DiskProbeEvery = 5 * time.Second
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 8
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
@@ -390,7 +381,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 		s.obs.rejectSpec.Inc()
 		return Status{}, err
 	}
-	return s.admit(&Job{snap: snap}, evAdmit, budget, "conns", len(snap.Conns))
+	return s.admit(&Job{snap: snap}, budget, "conns", len(snap.Conns))
 }
 
 // admissionClosed refuses every kind of admission (submit, edit, adopt)
@@ -410,9 +401,9 @@ func (s *Server) admissionClosed() error {
 	return nil
 }
 
-// admit queues a new job along evAdmit or evEdit: the deadline check
-// against the estimated cost, then the edge.
-func (s *Server) admit(j *Job, ev event, budget time.Duration, kv ...any) (Status, error) {
+// admit queues a new job along evAdmit: the deadline check against the
+// estimated cost, then the edge.
+func (s *Server) admit(j *Job, budget time.Duration, kv ...any) (Status, error) {
 	j.created = time.Now()
 	if budget > 0 {
 		j.Deadline = j.created.Add(budget)
@@ -421,7 +412,7 @@ func (s *Server) admit(j *Job, ev event, budget time.Duration, kv ...any) (Statu
 			return Status{}, err
 		}
 	}
-	out, err := s.transition(j, ev, nil, kv...)
+	out, err := s.transition(j, evAdmit, nil, kv...)
 	if err != nil {
 		return Status{}, s.refused(err)
 	}
@@ -467,7 +458,7 @@ func buildSnapshot(spec JobSpec, cfg Config) (*boardio.Snapshot, error) {
 		}
 	}
 	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = cfg.CheckpointEvery
+		opts.CheckpointEvery = checkpointEvery
 	}
 	if cfg.MaxTimeBudget > 0 && (opts.TimeBudget <= 0 || opts.TimeBudget > cfg.MaxTimeBudget) {
 		opts.TimeBudget = cfg.MaxTimeBudget
