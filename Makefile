@@ -10,7 +10,7 @@
 # (internal/core's context-cancel flag, internal/experiment's
 # Table1Parallel, all of internal/server, whose workers, retry timers,
 # disk probe and API calls meet in the job lifecycle, and the short
-# tests of internal/fleet, whose sweep, handlers and claims meet in the
+# tests of internal/fleet, whose sweep, moves and handlers meet in the
 # coordinator's job table), and `make race` is the full-suite version
 # for local soaks.
 
@@ -78,16 +78,18 @@ soak-fleet:
 
 # The fail-slow soak under the race detector: four workers, one of
 # them slow on CPU and disk (delayed, never failing), 160 deadline-
-# carrying jobs in two phases. The hedged phase's p99 must land
-# strictly below the no-hedge baseline's in the same run, with zero
-# jobs lost or duplicated (done in exactly one journal fleet-wide) and
-# every result bit-identical to its oracle. The deadline and hedge
-# plumbing tests ride along because they gate the same contract, and
-# so do the request-hardening tests, with the front-door test holding
-# the coordinator to grrd's answer for each of those requests.
+# carrying jobs in two phases. In the second phase a straggler is
+# stolen from the slow node and resumed on a healthy peer; that
+# phase's p99 must land strictly below the unmoved baseline's in the
+# same run, with zero jobs lost or duplicated (done in exactly one
+# journal fleet-wide) and every result bit-identical to its oracle.
+# The deadline and move plumbing tests ride along because they gate
+# the same contract, and so do the request-hardening tests, with the
+# front-door test holding the coordinator to grrd's answer for each of
+# those requests.
 soak-slow:
-	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestCandidateOrderDeterministic|TestFrontDoorMatchesGrrd'
-	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline'
+	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestMove|TestCandidateOrderDeterministic|TestFrontDoorMatchesGrrd'
+	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline|TestStealJob|TestFencedNode'
 
 # The crash-consistency and disk-fault soak under the race detector:
 # the simfs replay model's own tests, the ALICE-style op-boundary

@@ -13,8 +13,9 @@
 // With -coordinator the process serves the fleet front door instead of
 // routing jobs itself (internal/fleet): workers join it with -join and
 // -node-name, heartbeat their load, and get fenced and failed over if
-// they go quiet. Clients submit to the coordinator exactly as they
-// would to a single grrd.
+// they go quiet; with -move-after, a job that outruns the fleet is
+// stolen from its node and resumed on a healthy peer. Clients submit to
+// the coordinator exactly as they would to a single grrd.
 //
 // Endpoints of a worker daemon (server.Server.Handler):
 //
@@ -24,14 +25,13 @@
 //	GET  /jobs/{id} one job
 //	POST /jobs/{id}/edit    derive a job from a done one by an edit
 //	                        script {"edits": ..., "deadline_ms": ...}
-//	POST /jobs/{id}/cancel  the coordinator's supersede signal
 //	GET  /healthz   liveness
 //	GET  /readyz    readiness (503 naming the posture: saturated,
 //	                draining, fenced or disk_degraded)
 //	GET  /load      the occupancy report heartbeats carry
 //	POST /fleet/steal       give up one queued job to a peer
+//	POST /fleet/steal/{id}  give up the named job, stopping its attempt
 //	POST /fleet/handoff     adopt a peer's journal record
-//	POST /fleet/hedge-arm   gate a job behind the hedge commit claim
 //	GET  /metrics   Prometheus text exposition (queue, jobs, retries,
 //	                journal, router search effort and phase timings)
 //	GET  /debug/pprof/...  net/http/pprof, only with -pprof
@@ -43,7 +43,6 @@
 //	GET  /jobs/{id} one job, from the node that holds it
 //	POST /join      a worker joins the fleet
 //	POST /heartbeat a worker's liveness and load
-//	POST /hedge/claim       arbitrate a hedged job's commit
 //	GET  /nodes     the coordinator's view of the fleet
 //	GET  /healthz   liveness
 //	GET  /readyz    200 while at least one node is schedulable
@@ -119,9 +118,7 @@ func run() int {
 		nodeName  = flag.String("node-name", "", "worker mode: fleet-unique node name (required with -join)")
 		hbEvery   = flag.Duration("heartbeat-every", time.Second, "heartbeat cadence (worker: send; coordinator: expect and sweep)")
 		hbMiss    = flag.Int("heartbeat-miss", 3, "coordinator mode: missed beats before a node is fenced and failed over")
-		hedge     = flag.Duration("hedge", 0, "coordinator mode: hedge a job on a healthy peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = hedging off)")
-		slowFact  = flag.Float64("slow-factor", 3, "coordinator mode: latch a node slow when a latency signal exceeds this multiple of the fleet median (a median needs three reporting nodes)")
-		maxBody   = flag.Int64("max-body", 16<<20, "maximum request body bytes accepted on POST /jobs")
+		moveAfter = flag.Duration("move-after", 0, "coordinator mode: move a job to a healthy peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = moves off)")
 
 		crashAt = flag.Uint64("crash-at", 0, "fault injection: kill the process (exit 137) at the Nth board mutation across all jobs")
 	)
@@ -135,7 +132,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "grrd: -coordinator and -join are mutually exclusive")
 			return exitUsage
 		}
-		return runCoordinator(*listen, *hbEvery, *hbMiss, *retryBase, *retryMax, *headerMax, *hedge, *slowFact)
+		return runCoordinator(*listen, *hbEvery, *hbMiss, *retryBase, *retryMax, *headerMax, *moveAfter)
 	}
 	if *journalDir == "" {
 		fmt.Fprintln(os.Stderr, "grrd: -journal-dir is required")
@@ -159,16 +156,8 @@ func run() int {
 		MaxTimeBudget:  *maxBudget,
 		DrainBudget:    *drainMax,
 		DiskProbeEvery: *diskProbe,
-		MaxBodyBytes:   *maxBody,
 		Metrics:        reg,
 		Log:            logger,
-	}
-	if *joinURL != "" {
-		// Hedge commits arbitrate through the coordinator: before a
-		// token-carrying job may journal a terminal state, the daemon
-		// asks the coordinator's first-claimant-wins ledger. Standalone
-		// daemons never carry tokens, so they never claim.
-		cfg.ClaimCommit = fleet.ClaimClient(*joinURL, *nodeName, nil)
 	}
 	if *crashAt > 0 {
 		// One crasher shared by every job board: its mutation counter
@@ -289,15 +278,14 @@ func run() int {
 // same contractual banner as a worker, so the harnesses that parse it
 // need not care which mode they launched.
 func runCoordinator(listen string, hbEvery time.Duration, hbMiss int,
-	retryBase, retryMax, headerMax, hedge time.Duration, slowFactor float64) int {
+	retryBase, retryMax, headerMax, moveAfter time.Duration) int {
 	reg := obs.NewRegistry()
 	c := fleet.New(fleet.Config{
 		HeartbeatEvery: hbEvery,
 		HeartbeatMiss:  hbMiss,
 		RetryBase:      retryBase,
 		RetryMax:       retryMax,
-		Hedge:          hedge,
-		SlowFactor:     slowFactor,
+		MoveAfter:      moveAfter,
 		Metrics:        reg,
 		Log:            obs.NewLogger(os.Stderr),
 	})

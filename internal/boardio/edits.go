@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the edit-script codec and the one builder of an edited
-// problem (EditDesign). The codec writes the design deltas core.Edit
-// describes as a line-oriented text format shared by `grr -edits` and
+// problem (EditDesign). The codec reads the design deltas core.Edit
+// describes from a line-oriented text format shared by `grr -edits` and
 // grrd's POST /jobs/{id}/edit body:
 //
 //	block <minx> <miny> <maxx> <maxy>          new keepout, grid units
@@ -26,27 +26,7 @@ import (
 // add-conn reuses the .con field layout ("-" for an empty net or class).
 // Blank lines and '#' comments are ignored, as in every boardio format.
 
-// WriteEdits serializes an edit list.
-func WriteEdits(w io.Writer, edits []core.Edit) error {
-	bw := bufio.NewWriter(w)
-	for i, e := range edits {
-		switch e.Op {
-		case core.EditBlock:
-			fmt.Fprintf(bw, "block %d %d %d %d\n", e.Rect.MinX, e.Rect.MinY, e.Rect.MaxX, e.Rect.MaxY)
-		case core.EditRemoveNet:
-			fmt.Fprintf(bw, "remove-net %s\n", e.Net)
-		case core.EditAddConn:
-			c := e.Conn
-			fmt.Fprintf(bw, "add-conn %d %d %d %d %s %s %g\n",
-				c.A.X, c.A.Y, c.B.X, c.B.Y, nameOr(c.Net, "-"), nameOr(c.Class, "-"), c.TargetDelayPs)
-		default:
-			return fmt.Errorf("boardio: edit %d has unknown op %d", i, e.Op)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdits parses the WriteEdits format.
+// ReadEdits parses the edits format.
 func ReadEdits(r io.Reader) ([]core.Edit, error) {
 	var out []core.Edit
 	sc := bufio.NewScanner(r)

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 )
@@ -10,7 +11,9 @@ import (
 // ErrPartitioned is the failure a partitioned request surfaces. It
 // reports itself as a timeout so callers that classify network errors
 // (retry loops, failure detectors) treat it exactly like a real
-// unreachable peer: retryable, not a protocol error.
+// unreachable peer: retryable, not a protocol error. A blocked host's
+// requests fail as a *net.OpError dial that wraps it; a lost reply
+// surfaces it bare.
 var ErrPartitioned = errors.New("faultinject: network partition")
 
 // partitionError wraps ErrPartitioned for one host and satisfies the
@@ -32,7 +35,9 @@ func (e *partitionError) Temporary() bool { return true }
 //   - RoundTripper wraps an http.Transport so requests to a blocked
 //     host fail with ErrPartitioned instead of leaving the process —
 //     both directions of job traffic (forward, steal, handoff) go
-//     through it.
+//     through it. A host can also lose only its replies: the request
+//     arrives and is acted on, and the caller sees ErrPartitioned, as
+//     when a response is dropped in transit.
 //   - HeartbeatDropped is the asymmetric case: the node is healthy and
 //     serving, but its heartbeats never arrive. That is the failure
 //     mode that distinguishes "dead" from "unreachable" — exactly what
@@ -43,13 +48,15 @@ func (e *partitionError) Temporary() bool { return true }
 type Partition struct {
 	mu      sync.Mutex
 	blocked map[string]bool
-	muted   map[string]bool
+	lost    map[string]bool // replies dropped
+	muted   map[string]bool // heartbeats dropped
 }
 
 // NewPartition builds an empty partition: every host reachable, every
 // heartbeat delivered.
 func NewPartition() *Partition {
-	return &Partition{blocked: make(map[string]bool), muted: make(map[string]bool)}
+	return &Partition{blocked: make(map[string]bool), lost: make(map[string]bool),
+		muted: make(map[string]bool)}
 }
 
 // Block makes every request to host (as it appears in the request URL,
@@ -60,18 +67,19 @@ func (p *Partition) Block(host string) {
 	p.mu.Unlock()
 }
 
-// Heal restores reachability of host.
-func (p *Partition) Heal(host string) {
+// LoseReplies lets requests to host arrive, but drops every reply: the
+// host acts on the request and the caller sees ErrPartitioned.
+func (p *Partition) LoseReplies(host string) {
 	p.mu.Lock()
-	delete(p.blocked, host)
+	p.lost[host] = true
 	p.mu.Unlock()
 }
 
-// HealAll restores full connectivity and heartbeat delivery.
-func (p *Partition) HealAll() {
+// Heal restores reachability of host, replies included.
+func (p *Partition) Heal(host string) {
 	p.mu.Lock()
-	p.blocked = make(map[string]bool)
-	p.muted = make(map[string]bool)
+	delete(p.blocked, host)
+	delete(p.lost, host)
 	p.mu.Unlock()
 }
 
@@ -87,13 +95,6 @@ func (p *Partition) Blocked(host string) bool {
 func (p *Partition) MuteHeartbeats(node string) {
 	p.mu.Lock()
 	p.muted[node] = true
-	p.mu.Unlock()
-}
-
-// UnmuteHeartbeats restores node's heartbeat delivery.
-func (p *Partition) UnmuteHeartbeats(node string) {
-	p.mu.Lock()
-	delete(p.muted, node)
 	p.mu.Unlock()
 }
 
@@ -126,7 +127,17 @@ type partitionTransport struct {
 
 func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.p.Blocked(req.URL.Host) {
-		return nil, &partitionError{host: req.URL.Host}
+		// A failed dial, as a real unreachable host gives: the request
+		// never left, which a caller may rely on.
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: &partitionError{host: req.URL.Host}}
 	}
-	return t.base.RoundTrip(req)
+	resp, err := t.base.RoundTrip(req)
+	t.p.mu.Lock()
+	dropped := t.p.lost[req.URL.Host]
+	t.p.mu.Unlock()
+	if err != nil || !dropped {
+		return resp, err
+	}
+	resp.Body.Close()
+	return nil, &partitionError{host: req.URL.Host}
 }

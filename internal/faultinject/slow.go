@@ -16,7 +16,7 @@ import (
 // requests. SlowNode and SlowDisk instead make them LATE: the
 // operation succeeds, bit-identically, after an injected delay. That
 // is the fail-slow failure mode (disk stalls, CPU contention, a lossy
-// link) the fleet's slow-posture detection and hedged execution exist
+// link) the fleet's slow-posture detection and straggler moves exist
 // for, and because nothing errors, both seams compose freely with the
 // veto/errno/partition rules — a node can be slow AND occasionally
 // vetoed, exactly like a sick machine.
@@ -41,9 +41,6 @@ func NewSlowNode(delay time.Duration, every int) *SlowNode {
 	}
 	return &SlowNode{delay: delay, every: int64(every)}
 }
-
-// Delays reports how many times the delay fired.
-func (s *SlowNode) Delays() int64 { return s.calls.Load() / s.every }
 
 func (s *SlowNode) stall() {
 	if s.calls.Add(1)%s.every == 0 && s.delay > 0 {
@@ -73,7 +70,6 @@ type SlowDisk struct {
 	under  simfs.FS
 	prefix string
 	delay  time.Duration
-	ops    atomic.Int64
 }
 
 // NewSlowDisk wraps under so every operation on a path under prefix is
@@ -82,15 +78,9 @@ func NewSlowDisk(under simfs.FS, prefix string, delay time.Duration) *SlowDisk {
 	return &SlowDisk{under: under, prefix: prefix, delay: delay}
 }
 
-// Delays reports how many operations were delayed.
-func (d *SlowDisk) Delays() int64 { return d.ops.Load() }
-
 func (d *SlowDisk) stall(path string) {
-	if strings.HasPrefix(path, d.prefix) {
-		d.ops.Add(1)
-		if d.delay > 0 {
-			time.Sleep(d.delay)
-		}
+	if strings.HasPrefix(path, d.prefix) && d.delay > 0 {
+		time.Sleep(d.delay)
 	}
 }
 

@@ -128,10 +128,20 @@ func TestFleetRoutesAroundDiskDegradedNode(t *testing.T) {
 	// Clear the injection: bravo's self-probe heals the posture with no
 	// restart, the parked job finishes — unparked locally, or already
 	// stolen to the healthy peer, both with the oracle result — and the
-	// coordinator sees the node ready again.
+	// coordinator sees the node ready again. The job was submitted
+	// straight to bravo, so the coordinator knows it only if it stole
+	// it: wait on whichever node holds it.
 	inj.Disarm()
 	waitFor(t, 10*time.Second, func() bool { return !bravo.srv.DiskDegraded() }, "bravo never recovered")
-	fin = waitJobDone(t, ts.URL, wedged.ID, 20*time.Second)
+	waitFor(t, 20*time.Second, func() bool {
+		for _, n := range []*fleetNode{bravo, alpha} {
+			if st, ok := n.srv.Status(wedged.ID); ok && st.State.Terminal() {
+				fin = st
+				return true
+			}
+		}
+		return false
+	}, "the parked job never finished on either node")
 	if fin.State != server.StateDone || fin.Fingerprint != oracles[0] {
 		t.Fatalf("parked job after heal = %+v, want done @ %s", fin, oracles[0])
 	}

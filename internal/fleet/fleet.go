@@ -14,7 +14,8 @@
 //     checkpoint;
 //   - an idle node pulls queued work from the most-loaded peer through
 //     the coordinator (work stealing), keeping the fleet busy without
-//     the workers knowing about each other;
+//     the workers knowing about each other, and a straggler is stolen
+//     from its node and resumed on a healthy peer (DESIGN §14);
 //   - a submission passes grrd's own request checks (server.DecodeSpec,
 //     server.ValidateDeadline) before it is placed, and a node's 400
 //     ends the walk, so a client gets the status a standalone grrd
@@ -34,8 +35,10 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"sort"
 	"sync"
@@ -66,26 +69,18 @@ type Config struct {
 	// uses http.DefaultTransport.
 	Transport http.RoundTripper
 	// Log, when set, receives the coordinator's events (join, fence,
-	// handoff, steal, hedge, and the errors on those paths). Nil is
+	// handoff, steal, move, and the errors on those paths). Nil is
 	// fine.
 	Log *obs.Logger
 	// Metrics, when set, is the registry the coordinator publishes
 	// fleet series into (and serves at /metrics).
 	Metrics *obs.Registry
-	// Hedge enables hedged execution (DESIGN §14): a job still running
-	// after max(Hedge, p95 of recent completions) gets a second copy on
-	// a healthy peer, first durable result wins. Zero or negative
-	// disables hedging entirely — the fleet behaves byte-identically to
-	// one without the hedging code.
-	Hedge time.Duration
-	// SlowFactor tunes fail-slow detection: a node latches the slow
-	// posture when any of its latency signals (coordinator-observed
-	// forward latency, reported queue-wait, reported journal-write
-	// latency) exceeds SlowFactor × the fleet's lower median for that
-	// signal, and unlatches below half that threshold (default 3). A
-	// signal has a median only once at least three alive nodes report
-	// it, so a fleet of one or two nodes never latches.
-	SlowFactor float64
+	// MoveAfter enables straggler moves (DESIGN §14): a job the
+	// coordinator placed that is still unfinished after max(MoveAfter,
+	// p95 of recent completions) is stolen from its node and resumed on
+	// a healthy peer from its last durable checkpoint. Zero or negative
+	// turns moves off.
+	MoveAfter time.Duration
 }
 
 // retrySeed seeds the coordinator's backoff jitter, which has no
@@ -104,9 +99,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 2 * time.Second
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 3
 	}
 }
 
@@ -146,31 +138,21 @@ func (n *node) inFlight() int { return n.Load.Live + n.sent }
 
 // jobEntry is everything the coordinator knows about one job.
 type jobEntry struct {
-	// copies names the node of each copy: the primary (no token, or
-	// tokenPrimary once armed) and the hedge copy (tokenHedge). "" when
-	// there is no such copy.
-	copies [2]string
+	// node is the node that holds the job's one live copy.
+	node string
 	// created is when the coordinator placed the job (zero for jobs it
-	// learned about through a steal or recovery); the hedge trigger and
+	// learned about through a steal or recovery); the move trigger and
 	// the completion-latency window measure from it.
 	created time.Time
-	// deadline is the job's absolute deadline; zero = none. Hedging a
-	// job whose deadline passed is pointless.
+	// deadline is the job's absolute deadline; zero = none. Moving a job
+	// whose deadline passed is pointless.
 	deadline time.Time
-	// claim is the first claimant of the job's commit; zero until a copy
-	// claims.
-	claim copyRef
+	// moved is set once the coordinator has asked to move the job; a job
+	// is moved at most once.
+	moved bool
 	// result is the job's terminal status; nil while the job is live.
 	// It outlives the node that computed it.
 	result *server.Status
-}
-
-// copySlot is the jobEntry.copies index of the copy a token marks.
-func copySlot(token uint64) int {
-	if token == tokenHedge {
-		return 1
-	}
-	return 0
 }
 
 // Coordinator is the fleet's front door and failure detector.
@@ -187,13 +169,22 @@ type Coordinator struct {
 	nodes   map[string]*node
 	jobs    map[string]*jobEntry
 	pending []*server.Job // recovered/stolen records awaiting a home, in arrival order
+	// doubt holds the pending records whose last offer went unanswered:
+	// the node offered may hold the job (§12.3).
+	doubt map[*server.Job]lostOffer
+	// moves holds the straggler moves in progress, by job ID (§14).
+	moves map[string]*move
+	// lastMove is the node the latest move delivered a job to.
+	lastMove string
 	// window holds recent job completion latencies (seconds); its p95
-	// sets the hedge delay once enough samples exist.
+	// sets the move delay once enough samples exist.
 	window *obs.Window
 
-	stop   chan struct{}
+	// ctx ends with Close; it bounds the sweep loop, the moves and the
+	// coordinator's own calls to nodes.
+	ctx    context.Context
+	cancel context.CancelFunc
 	stopWg sync.WaitGroup
-	once   sync.Once
 }
 
 // New builds a Coordinator and starts its sweep loop (failure
@@ -208,18 +199,21 @@ func New(cfg Config) *Coordinator {
 		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
 		nodes:   make(map[string]*node),
 		jobs:    make(map[string]*jobEntry),
+		doubt:   make(map[*server.Job]lostOffer),
+		moves:   make(map[string]*move),
 		window:  obs.NewWindow(256),
-		stop:    make(chan struct{}),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.stopWg.Add(1)
 	go c.sweepLoop()
 	return c
 }
 
-// Close stops the sweep loop. In-flight HTTP handlers finish on their
-// own; the coordinator serves until its listener closes.
+// Close stops the sweep loop and the moves in progress. In-flight HTTP
+// handlers finish on their own; the coordinator serves until its
+// listener closes.
 func (c *Coordinator) Close() {
-	c.once.Do(func() { close(c.stop) })
+	c.cancel()
 	c.stopWg.Wait()
 }
 
@@ -294,7 +288,7 @@ func (c *Coordinator) sweepLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-t.C:
 			c.sweep()
@@ -324,7 +318,7 @@ func (c *Coordinator) sweep() {
 	c.updateSlow()
 	c.deliverPending()
 	c.stealOnce()
-	c.hedgeSweep()
+	c.moveSweep()
 }
 
 // fence finalizes a dead node: bump its journal epoch with the fenced
@@ -364,17 +358,6 @@ func (c *Coordinator) fence(n *node) {
 			c.noteTerminalLocked(rec.ID, rec.Status())
 		}
 	}
-	// A commit claim won by the fenced node is void unless its journal
-	// actually holds the terminal record: the epoch fence guarantees it
-	// can never write one now, so releasing the claim lets the surviving
-	// copy (or a re-homed one) win and finish the job. A copy slot
-	// naming the fenced node keeps it until deliverPending re-homes the
-	// copy's live record from the pending list above.
-	for _, e := range c.jobs {
-		if e.claim.node == n.Name && e.result == nil {
-			e.claim = copyRef{}
-		}
-	}
 	c.obs.pendingGauge.Set(int64(len(c.pending)))
 	c.mu.Unlock()
 }
@@ -388,22 +371,79 @@ func (c *Coordinator) deliverPending() {
 	c.pending = nil
 	c.mu.Unlock()
 
-	var keep []*server.Job
 	for _, rec := range pending {
-		target, err := c.handoff(rec)
+		names, drop := c.homesFor(rec)
+		if drop {
+			continue
+		}
+		target, err := c.offer(rec, names)
+		c.mu.Lock()
 		if err != nil {
-			keep = append(keep, rec)
+			c.parkLocked(rec, target, err)
+		} else {
+			delete(c.doubt, rec)
+		}
+		c.mu.Unlock()
+		if err != nil {
 			c.log.Log("fleet_handoff_wait", "job", rec.ID, "err", err.Error())
 			continue
 		}
-		c.moveCopy(rec.ID, target, rec.HedgeToken, rec.Deadline, time.Time{})
+		c.moveJob(rec.ID, target, rec.Deadline, time.Time{})
 		c.obs.handoffs.Inc()
 		c.log.Log("fleet_handoff", "job", rec.ID, "to", target, "attempt", rec.Attempt)
 	}
 	c.mu.Lock()
-	c.pending = append(c.pending, keep...)
 	c.obs.pendingGauge.Set(int64(len(c.pending)))
 	c.mu.Unlock()
+}
+
+// lostOffer is an offer of a pending record whose answer was lost: the
+// node it went to, and that node's journal dir at the time.
+type lostOffer struct{ node, journal string }
+
+// homesFor lists the nodes a pending record may be offered to, best
+// first, or reports that the record is no longer needed. A record in
+// doubt goes only to the node its lost offer went to, while that node
+// lives: its 202 or 409 settles the doubt, and a refusal settles
+// nothing (a draining node refuses before it looks for the job). Once
+// that node is fenced, its journal settles it: a record there that is
+// not handed_off is the job — fence has recovered it — so this copy
+// goes; with none, the node never adopted it and any candidate may.
+func (c *Coordinator) homesFor(rec *server.Job) (names []string, drop bool) {
+	c.mu.Lock()
+	o, inDoubt := c.doubt[rec]
+	offered := inDoubt && c.nodes[o.node].alive() && c.nodes[o.node].Journal == o.journal
+	c.mu.Unlock()
+	if offered {
+		return []string{o.node}, false
+	}
+	if inDoubt {
+		held, err := server.LoadRecord(o.journal, rec.ID)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, false // unreadable for now: still in doubt
+		}
+		c.mu.Lock()
+		delete(c.doubt, rec)
+		c.mu.Unlock()
+		if err == nil && held.State != server.StateHandedOff {
+			return nil, true
+		}
+	}
+	for _, n := range c.candidates() {
+		names = append(names, n.Name)
+	}
+	return names, false
+}
+
+// parkLocked puts rec on the pending list after offer failed with err;
+// an offer to node name whose answer was lost leaves rec in doubt there.
+// Callers hold mu.
+func (c *Coordinator) parkLocked(rec *server.Job, name string, err error) {
+	c.pending = append(c.pending, rec)
+	if errors.Is(err, errUnanswered) {
+		c.doubt[rec] = lostOffer{node: name, journal: c.nodes[name].Journal}
+	}
+	c.obs.pendingGauge.Set(int64(len(c.pending)))
 }
 
 // stealOnce brokers at most one steal per sweep: the idlest ready node
@@ -413,6 +453,13 @@ func (c *Coordinator) deliverPending() {
 func (c *Coordinator) stealOnce() {
 	diskDegraded := func(n *node) bool { return n.Load.Disk == "degraded" }
 	c.mu.Lock()
+	moving := make(map[string]bool, len(c.moves)+len(c.doubt))
+	for _, m := range c.moves {
+		moving[m.donor] = true
+	}
+	for _, o := range c.doubt {
+		moving[o.node] = true
+	}
 	var donor, thief *node
 	for _, n := range c.nodes {
 		if !n.alive() {
@@ -423,8 +470,13 @@ func (c *Coordinator) stealOnce() {
 		// draining and fenced nodes are drain-only — their queue is the
 		// failover path's business, not the stealer's. A disk-degraded
 		// donor outranks every healthy one: its queue cannot run locally
-		// until the disk heals, so moving it is never premature.
-		if n.Load.Queued > 0 && n.Load.Health != server.HealthDraining &&
+		// until the disk heals, so moving it is never premature. A node a
+		// move is taking a job from waits until the move settles: a move
+		// that asks again counts a job handed off there as its own steal's
+		// (takeBack). So does a node a record is in doubt on: it may hold
+		// that job, and the record's next offer there would re-adopt a
+		// job it had handed off.
+		if n.Load.Queued > 0 && n.Load.Health != server.HealthDraining && !moving[n.Name] &&
 			(donor == nil ||
 				(diskDegraded(n) && !diskDegraded(donor)) ||
 				(diskDegraded(n) == diskDegraded(donor) && n.Load.Queued > donor.Load.Queued)) {
@@ -451,7 +503,7 @@ func (c *Coordinator) stealOnce() {
 	donorName, donorAddr, thiefName := donor.Name, donor.Addr, thief.Name
 	c.mu.Unlock()
 
-	rec, err := c.stealFrom(donorAddr)
+	rec, _, err := c.stealFrom(donorAddr, "")
 	if err != nil {
 		c.log.Log("fleet_steal_error", "from", donorName, "err", err.Error())
 		return
@@ -459,35 +511,39 @@ func (c *Coordinator) stealOnce() {
 	if rec == nil {
 		return // queue emptied itself between heartbeat and steal
 	}
-	target, err := c.handoffTo(thiefName, rec)
-	if err != nil {
-		// The thief would not take it; give it back to the donor, and if
-		// even that fails, park it as pending — it is journaled as
-		// handed_off on the donor, so nothing is lost either way.
-		if _, backErr := c.handoffTo(donorName, rec); backErr != nil {
-			c.mu.Lock()
-			c.pending = append(c.pending, rec)
-			c.obs.pendingGauge.Set(int64(len(c.pending)))
-			c.mu.Unlock()
-		}
-		return
+	if c.deliver(rec, donorName, []string{thiefName}) == thiefName {
+		c.obs.steals.Inc()
+		c.log.Log("fleet_steal", "job", rec.ID, "from", donorName, "to", thiefName)
 	}
-	c.moveCopy(rec.ID, target, rec.HedgeToken, rec.Deadline, time.Time{})
-	c.obs.steals.Inc()
-	c.log.Log("fleet_steal", "job", rec.ID, "from", donorName, "to", thiefName)
 }
 
-// moveCopy records that the copy of job id carrying token now runs on
-// node, creating the job's entry on first sight, and counts the job
-// among those delivered to node since its last heartbeat. Placement,
-// hedge launch, steal and pending delivery all record here; placement
-// alone passes the time it placed the job, which starts the hedge
-// clock.
-func (c *Coordinator) moveCopy(id, nodeName string, token uint64, deadline, placed time.Time) {
+// deliver hands a record stolen from donor to the first of targets that
+// adopts it. When none does, the record goes back to the donor, and if
+// even that fails it waits on the pending list — it is journaled as
+// handed_off on the donor, so nothing is lost either way. It returns
+// the node that took the record, "" when it went pending.
+func (c *Coordinator) deliver(rec *server.Job, donor string, targets []string) string {
+	name, err := c.offer(rec, append(targets, donor))
+	if err == nil {
+		c.moveJob(rec.ID, name, rec.Deadline, time.Time{})
+		return name
+	}
+	c.mu.Lock()
+	c.parkLocked(rec, name, err)
+	c.mu.Unlock()
+	return ""
+}
+
+// moveJob records that node now holds job id, creating the job's entry
+// on first sight, and counts the job among those delivered to node
+// since its last heartbeat. Placement, steal, move and pending delivery
+// all record here; placement alone passes the time it placed the job,
+// which starts the move clock.
+func (c *Coordinator) moveJob(id, nodeName string, deadline, placed time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entryLocked(id)
-	e.copies[copySlot(token)] = nodeName
+	e.node = nodeName
 	e.deadline = deadline
 	if !placed.IsZero() {
 		e.created = placed
@@ -555,7 +611,7 @@ func (c *Coordinator) candidates() []*node {
 // sleep waits d or until the coordinator stops.
 func (c *Coordinator) sleep(d time.Duration) {
 	select {
-	case <-c.stop:
+	case <-c.ctx.Done():
 	case <-time.After(d):
 	}
 }

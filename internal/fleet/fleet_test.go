@@ -340,7 +340,7 @@ func TestStatusSkipsFencedOwner(t *testing.T) {
 	defer c.Close()
 	c.mu.Lock()
 	c.nodes["z"] = &node{Name: "z", Addr: zombie.URL, Fenced: true, lastBeat: time.Now(), fwd: obs.NewEWMA(0.3)}
-	c.jobs[id] = &jobEntry{copies: [2]string{"z", ""}}
+	c.jobs[id] = &jobEntry{node: "z"}
 	c.mu.Unlock()
 
 	rr := httptest.NewRecorder()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -25,10 +26,9 @@ import (
 //	                Retry-After when no node can take it
 //	GET  /jobs      fleet-wide job list (proxied node views merged with
 //	                the coordinator's own results and pending handoffs)
-//	GET  /jobs/{id} one job, proxied to the node of its claim winner,
-//	                else of its primary copy; terminal results are
-//	                served from the coordinator even after the node
-//	                that computed them is gone
+//	GET  /jobs/{id} one job, proxied to the node that holds it;
+//	                terminal results are served from the coordinator
+//	                even after the node that computed them is gone
 //	POST /join      agent registration {node, addr, journal, epoch}
 //	POST /heartbeat agent liveness + load {node, epoch, load}; 410 once
 //	                the node is fenced — the zombie's cue that its jobs
@@ -44,7 +44,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", c.handleStatus)
 	mux.HandleFunc("POST /join", c.handleJoin)
 	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /hedge/claim", c.handleClaim)
 	mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Nodes())
 	})
@@ -118,7 +117,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // refuses, the strongest Retry-After seen propagates to the client — a
 // shrunken pool looks exactly like one saturated grrd.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, code, err := server.DecodeSpec(w, r, 16<<20)
+	spec, code, err := server.DecodeSpec(w, r, server.MaxBodyBytes)
 	if err != nil {
 		writeJSON(w, code, httpError{Error: err.Error()})
 		return
@@ -182,7 +181,7 @@ func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 		p := c.forward(n, body)
 		switch {
 		case p.accepted:
-			c.moveCopy(p.st.ID, n.Name, 0, deadline, time.Now())
+			c.moveJob(p.st.ID, n.Name, deadline, time.Now())
 			c.obs.forwarded.Inc()
 			c.log.Log("fleet_forward", "job", p.st.ID, "node", n.Name)
 			return p
@@ -208,20 +207,6 @@ func (c *Coordinator) placeJob(spec server.JobSpec) placement {
 	}
 	c.obs.rejected.Inc()
 	return placement{code: http.StatusTooManyRequests, retryAfter: retryAfter, errMsg: msg}
-}
-
-// handleClaim arbitrates a hedge commit claim from a worker node.
-func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad claim: " + err.Error()})
-		return
-	}
-	if req.Job == "" || req.Node == "" || req.Token == 0 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad claim: job, node and token are required"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"win": c.Claim(req.Job, req.Node, req.Token)})
 }
 
 // forwardAttempts bounds transport-level tries per node while
@@ -282,8 +267,7 @@ func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 
 // handleStatus serves one job's status: the coordinator's own result
 // first (it outlives its node), then a pending-handoff synthesis, then
-// a proxy to the node of the claim winner — the copy that commits — or,
-// before any claim, of the primary copy.
+// a proxy to the node that holds the job.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c.mu.Lock()
@@ -306,14 +290,10 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	var addr string
 	if ok {
-		owner := e.copies[0]
-		if e.claim.node != "" {
-			owner = e.claim.node
-		}
 		// A fenced owner is never asked: its local view of a job it can
 		// no longer journal (typically "failed: journal fenced") is not
 		// an answer, and caching it would shadow the re-homed copy.
-		if n, known := c.nodes[owner]; known && n.alive() {
+		if n, known := c.nodes[e.node]; known && n.alive() {
 			addr = n.Addr
 		}
 	}
@@ -410,47 +390,61 @@ func mergeJobs(copies []server.Status) []server.Status {
 	return out
 }
 
-// stealFrom asks one node to relinquish a queued job; nil when it had
-// nothing to give.
-func (c *Coordinator) stealFrom(addr string) (*server.Job, error) {
-	resp, err := c.client.Post(addr+"/fleet/steal", "", nil)
+// stealFrom asks one node to relinquish a job: the one named by id, or
+// with id "" its newest waiting one. The record is nil when nothing
+// moved: nothing was waiting, or the named job had already finished or
+// been handed off, and then the state says which.
+func (c *Coordinator) stealFrom(addr, id string) (*server.Job, server.State, error) {
+	url := addr + "/fleet/steal"
+	if id != "" {
+		url += "/" + id
+	}
+	resp, err := c.post(url, "", nil)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return server.DecodeRecord(resp.Body)
+		rec, err := server.DecodeRecord(resp.Body)
+		return rec, "", err
 	case http.StatusNoContent:
-		return nil, nil
+		return nil, "", nil
+	case http.StatusConflict:
+		var settled struct {
+			State server.State `json:"state"`
+		}
+		err := json.NewDecoder(resp.Body).Decode(&settled)
+		return nil, settled.State, err
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("fleet: steal: %d %s", resp.StatusCode, bytes.TrimSpace(b))
+		return nil, "", fmt.Errorf("fleet: steal: %d %s", resp.StatusCode, bytes.TrimSpace(b))
 	}
 }
 
-// handoff delivers a detached record to the first candidate that takes
-// it and returns the adopting node's name.
-func (c *Coordinator) handoff(rec *server.Job) (string, error) {
-	cands := c.candidates()
-	if len(cands) == 0 {
-		return "", fmt.Errorf("fleet: no schedulable node for %s", rec.ID)
-	}
-	var lastErr error
-	for _, n := range cands {
-		if _, err := c.handoffTo(n.Name, rec); err != nil {
-			lastErr = err
-			continue
+// offer hands rec to the first of names that adopts it and returns that
+// node. An offer whose answer is lost ends the walk with errUnanswered
+// and that node's name: it may have adopted the record, so no other
+// node may be offered it until that one settles the doubt (homesFor).
+func (c *Coordinator) offer(rec *server.Job, names []string) (string, error) {
+	err := fmt.Errorf("fleet: no schedulable node for %s", rec.ID)
+	for _, name := range names {
+		if err = c.handoffTo(name, rec); err == nil || errors.Is(err, errUnanswered) {
+			return name, err
 		}
-		return n.Name, nil
 	}
-	return "", lastErr
+	return "", err
 }
+
+// errUnanswered marks a handoff whose request may have reached the node
+// though no answer came back.
+var errUnanswered = errors.New("fleet: handoff unanswered")
 
 // handoffTo delivers a record to one named node. A 409 duplicate
 // counts as success: the node already owns a live copy — exactly the
-// state handoff was trying to reach.
-func (c *Coordinator) handoffTo(nodeName string, rec *server.Job) (string, error) {
+// state handoff was trying to reach. A transport error past the dial
+// is errUnanswered: the node may have adopted the record.
+func (c *Coordinator) handoffTo(nodeName string, rec *server.Job) error {
 	c.mu.Lock()
 	n, ok := c.nodes[nodeName]
 	var addr string
@@ -459,25 +453,39 @@ func (c *Coordinator) handoffTo(nodeName string, rec *server.Job) (string, error
 	}
 	c.mu.Unlock()
 	if !ok {
-		return "", fmt.Errorf("fleet: unknown node %s", nodeName)
+		return fmt.Errorf("fleet: unknown node %s", nodeName)
 	}
 	var buf bytes.Buffer
 	if err := rec.EncodeRecord(&buf); err != nil {
-		return "", fmt.Errorf("fleet: encoding %s: %w", rec.ID, err)
+		return fmt.Errorf("fleet: encoding %s: %w", rec.ID, err)
 	}
-	resp, err := c.client.Post(addr+"/fleet/handoff", "application/x-grrdjob", &buf)
-	if err != nil {
-		return "", err
+	resp, err := c.post(addr+"/fleet/handoff", "application/x-grrdjob", &buf)
+	var dial *net.OpError
+	switch {
+	case err != nil && errors.As(err, &dial) && dial.Op == "dial":
+		return err // the request never left
+	case err != nil:
+		return fmt.Errorf("%w by %s: %v", errUnanswered, nodeName, err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusAccepted, http.StatusConflict:
-		return nodeName, nil
+		return nil
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return "", fmt.Errorf("fleet: handoff of %s to %s: %d %s",
+		return fmt.Errorf("fleet: handoff of %s to %s: %d %s",
 			rec.ID, nodeName, resp.StatusCode, bytes.TrimSpace(b))
 	}
+}
+
+// post is the coordinator's own POST to a node, ended by Close.
+func (c *Coordinator) post(url, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, url, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	return c.client.Do(req)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -30,13 +30,10 @@ type fleetObs struct {
 	nodesByState map[string]*obs.Gauge
 
 	// Tail-latency contract (DESIGN §14): slow-posture detection,
-	// hedged execution, and deadline-aware admission.
+	// straggler moves, and deadline-aware admission.
 	slowNodes       *obs.Gauge
 	slowTransitions *obs.Counter
-	hedgeLaunched   *obs.Counter
-	hedgeClaimWins  *obs.Counter
-	hedgeClaimLoss  *obs.Counter
-	hedgeCancels    *obs.Counter
+	moves           *obs.Counter
 	deadlineRejects *obs.Counter
 }
 
@@ -64,10 +61,7 @@ func newFleetObs(reg *obs.Registry) *fleetObs {
 
 		slowNodes:       reg.Gauge("grr_fleet_slow_nodes"),
 		slowTransitions: reg.Counter("grr_fleet_slow_transitions_total"),
-		hedgeLaunched:   reg.Counter("grr_hedge_launched_total"),
-		hedgeClaimWins:  reg.Counter(`grr_hedge_claims_total{result="win"}`),
-		hedgeClaimLoss:  reg.Counter(`grr_hedge_claims_total{result="lose"}`),
-		hedgeCancels:    reg.Counter("grr_hedge_cancels_total"),
+		moves:           reg.Counter("grr_fleet_moves_total"),
 		deadlineRejects: reg.Counter("grr_deadline_rejects_total"),
 	}
 	for _, st := range nodeStates {

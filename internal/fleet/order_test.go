@@ -15,7 +15,7 @@ import (
 // "In flight" is the live count of the node's last heartbeat plus the
 // jobs delivered there since, so a delivery moves a node back and its
 // next heartbeat clears the count. Two coordinators looking at the same
-// fleet must walk candidates in the same order, or placement (and hedge
+// fleet must walk candidates in the same order, or placement (and move
 // targeting) diverges between them.
 func TestCandidateOrderDeterministic(t *testing.T) {
 	c := New(Config{HeartbeatEvery: time.Hour})
@@ -64,12 +64,12 @@ func TestCandidateOrderDeterministic(t *testing.T) {
 
 	// Two deliveries to bravo since its last heartbeat put it behind
 	// the nodes with one job in flight.
-	c.moveCopy("job-a", "bravo", 0, time.Time{}, time.Now())
-	c.moveCopy("job-b", "bravo", tokenHedge, time.Time{}, time.Time{})
+	c.moveJob("job-a", "bravo", time.Time{}, time.Now())
+	c.moveJob("job-b", "bravo", time.Time{}, time.Time{})
 	expect("after two deliveries to bravo", "alpha", "charlie", "bravo", "carol", "delta")
 
 	// One delivery to alpha puts it behind charlie, its tie partner.
-	c.moveCopy("job-c", "alpha", 0, time.Time{}, time.Now())
+	c.moveJob("job-c", "alpha", time.Time{}, time.Now())
 	expect("after one delivery to alpha", "charlie", "alpha", "bravo", "carol", "delta")
 
 	// bravo's heartbeat reports both jobs live and clears its count...

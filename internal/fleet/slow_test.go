@@ -1,0 +1,276 @@
+package fleet
+
+import (
+	"bytes"
+	"fmt"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/board"
+	"repro/internal/faultinject"
+	"repro/internal/obs"
+	"repro/internal/server"
+)
+
+// TestMoveStraggler: a job the coordinator placed on a node that
+// routes slowly outruns the move delay, is stolen from that node in the
+// middle of its run, and is resumed on the healthy peer from its last
+// durable checkpoint. It finishes bit-identical to the oracle and done
+// in exactly one journal, the donor holds it handed_off, and the
+// coordinator's GET /jobs/{id} asks the node that now holds it.
+func TestMoveStraggler(t *testing.T) {
+	c := New(Config{
+		HeartbeatEvery: 25 * time.Millisecond,
+		HeartbeatMiss:  40, // failover off: this test is about moves, not fencing
+		MoveAfter:      60 * time.Millisecond,
+	})
+	ts := httptest.NewServer(c.Handler())
+	defer func() {
+		ts.Close()
+		c.Close()
+	}()
+	spec := buildSpec(t, 9)
+	want := oracleFP(t, spec)
+
+	// An idle fleet places on the first name, so the slow node gets the
+	// job; two nodes never latch slow, so only the move can rescue it.
+	slow := faultinject.NewSlowNode(30*time.Millisecond, 1)
+	journals := []string{t.TempDir(), t.TempDir()}
+	alpha := startNode(t, "alpha", ts.URL, server.Config{
+		QueueDepth: 4, JournalDir: journals[0],
+		BoardHook: func(b *board.Board) { b.Interpose(slow) },
+	}, nil, nil)
+	bravo := startNode(t, "bravo", ts.URL, server.Config{QueueDepth: 4, JournalDir: journals[1]}, nil, nil)
+	waitFor(t, 10*time.Second, func() bool { return len(c.Nodes()) == 2 }, "fleet never assembled")
+
+	st := submit(t, ts.URL, spec)
+	if got, _ := alpha.srv.Status(st.ID); got.ID != st.ID {
+		t.Fatalf("job %s was not placed on the slow node", st.ID)
+	}
+	fin := waitJobDone(t, ts.URL, st.ID, 30*time.Second)
+	if fin.State != server.StateDone || fin.Fingerprint != want {
+		t.Fatalf("moved job = %+v, want done @ %s", fin, want)
+	}
+	if got, _ := alpha.srv.Status(st.ID); got.State != server.StateHandedOff {
+		t.Errorf("donor copy = %+v, want handed_off", got)
+	}
+	if got, _ := bravo.srv.Status(st.ID); got.State != server.StateDone {
+		t.Errorf("peer copy = %+v, want done", got)
+	}
+	c.mu.Lock()
+	holder := c.jobs[st.ID].node
+	c.mu.Unlock()
+	if holder != "bravo" {
+		t.Errorf("the coordinator says %q holds the job, want bravo", holder)
+	}
+	if n := c.obs.moves.Value(); n != 1 {
+		t.Errorf("grr_fleet_moves_total = %d, want 1", n)
+	}
+	doneIn := 0
+	for _, dir := range journals {
+		recs, err := server.LoadRecords(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.ID == st.ID && rec.State == server.StateDone {
+				doneIn++
+			}
+		}
+	}
+	if doneIn != 1 {
+		t.Errorf("the job is done in %d journals, want 1", doneIn)
+	}
+}
+
+// TestMoveAfterLostAnswer: an answer on either leg of a move is lost
+// after the node acted on the request, and the move still leaves the
+// job done, bit-identical to the oracle, in exactly one journal.
+//
+//   - The steal's answer: the donor journaled the job handed_off. The
+//     coordinator asks again and reads the record from the donor's
+//     journal once the donor says handed_off, or once it is fenced.
+//   - The handoff's answer: the peer adopted the record. The record
+//     waits in doubt on that peer, offered to no other node, until the
+//     peer answers a re-offer with 409, or is fenced and its journal
+//     shows fence recovered the job.
+func TestMoveAfterLostAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lose  string // the node whose replies are lost
+		fence bool   // fence it, instead of healing it
+		moves int64
+	}{
+		{"steal answer lost, the donor answers again", "alpha", false, 1},
+		{"steal answer lost, the donor is fenced", "alpha", true, 1},
+		{"handoff answer lost, the peer answers again", "bravo", false, 0},
+		{"handoff answer lost, the peer is fenced", "bravo", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			part := faultinject.NewPartition()
+			c := New(Config{
+				HeartbeatEvery: 25 * time.Millisecond,
+				HeartbeatMiss:  40,
+				MoveAfter:      60 * time.Millisecond,
+				Transport:      part.RoundTripper(nil),
+			})
+			ts := httptest.NewServer(c.Handler())
+			defer func() {
+				ts.Close()
+				c.Close()
+			}()
+			spec := buildSpec(t, 9)
+			want := oracleFP(t, spec)
+
+			slow := faultinject.NewSlowNode(30*time.Millisecond, 1)
+			nodes := map[string]*fleetNode{}
+			var journals []string
+			for _, name := range []string{"alpha", "bravo", "charlie"} {
+				cfg := server.Config{QueueDepth: 4, JournalDir: t.TempDir()}
+				if name == "alpha" {
+					cfg.BoardHook = func(b *board.Board) { b.Interpose(slow) }
+				}
+				journals = append(journals, cfg.JournalDir)
+				nodes[name] = startNode(t, name, ts.URL, cfg, nil,
+					func() bool { return part.HeartbeatDropped(name) })
+			}
+			waitFor(t, 10*time.Second, func() bool { return len(c.Nodes()) == 3 }, "fleet never assembled")
+
+			st := submit(t, ts.URL, spec)
+			if got, _ := nodes["alpha"].srv.Status(st.ID); got.ID != st.ID {
+				t.Fatalf("job %s was not placed on the slow node", st.ID)
+			}
+			host := strings.TrimPrefix(nodes[tc.lose].ts.URL, "http://")
+			part.LoseReplies(host)
+			// Wait until the coordinator has met the lost answer: the move's
+			// ask failed, or the record waits in doubt.
+			waitFor(t, 10*time.Second, func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				if tc.lose == "alpha" {
+					m, ok := c.moves[st.ID]
+					return ok && !m.busy
+				}
+				return len(c.doubt) == 1
+			}, "no answer was lost")
+			got, _ := nodes[tc.lose].srv.Status(st.ID)
+			if held := got.State != server.StateHandedOff; got.ID != st.ID || held != (tc.lose == "bravo") {
+				t.Fatalf("%s's copy = %+v: the lost answer's request did not act", tc.lose, got)
+			}
+			if tc.fence {
+				part.MuteHeartbeats(tc.lose)
+				waitFor(t, 10*time.Second, func() bool {
+					return slices.ContainsFunc(c.Nodes(), func(n NodeView) bool { return n.Name == tc.lose && n.Fenced })
+				}, tc.lose+" was never fenced")
+			} else {
+				part.Heal(host)
+			}
+
+			fin := waitJobDone(t, ts.URL, st.ID, 30*time.Second)
+			if fin.State != server.StateDone || fin.Fingerprint != want {
+				t.Fatalf("moved job = %+v, want done @ %s", fin, want)
+			}
+			if n := c.obs.moves.Value(); n != tc.moves {
+				t.Errorf("grr_fleet_moves_total = %d, want %d", n, tc.moves)
+			}
+			doneIn := 0
+			for _, dir := range journals {
+				rec, err := server.LoadRecord(dir, st.ID)
+				if err == nil && rec.State == server.StateDone {
+					doneIn++
+				}
+			}
+			if doneIn != 1 {
+				t.Errorf("the job is done in %d journals, want 1", doneIn)
+			}
+		})
+	}
+}
+
+// TestUpdateSlow walks updateSlow through scripted heartbeats, one
+// sweep per step, and checks which nodes hold the slow latch after
+// each, and what the sweep logged. Queue waits and disk-write latencies
+// are in milliseconds.
+func TestUpdateSlow(t *testing.T) {
+	type reading struct{ qw, dw float64 }
+	type step struct {
+		loads  map[string]reading // alive nodes and their readings
+		fenced []string           // nodes fenced before the sweep
+		slow   []string           // latched after the sweep, in name order
+		log    []string           // fields the sweep's log must carry
+	}
+	flat := func(dw float64) map[string]reading {
+		return map[string]reading{"a": {dw: 2}, "b": {dw: 2}, "c": {dw: 2}, "d": {dw: dw}}
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"two nodes never latch", []step{
+			{loads: map[string]reading{"a": {qw: 10}, "b": {qw: 100}}},
+			{loads: map[string]reading{"a": {qw: 10, dw: 1}, "b": {qw: 1000, dw: 50}}},
+		}},
+		{"four nodes latch a disk outlier and clear below half the threshold", []step{
+			{loads: flat(30), slow: []string{"d"}, log: []string{
+				"node=d slow=true signal=disk ", "disk_ms=30.0 disk_median_ms=2.0 disk_threshold_ms=6.0"}},
+			{loads: flat(5), slow: []string{"d"}},                         // above 6/2: hysteresis holds
+			{loads: flat(2.5), log: []string{"node=d slow=false fwd_ms"}}, // below 6/2: cleared
+		}},
+		{"readings under the floor never latch", []step{
+			{loads: map[string]reading{"a": {dw: 0.1}, "b": {dw: 0.1}, "c": {dw: 0.1}, "d": {dw: 0.9}}},
+		}},
+		{"a signal two nodes report has no baseline", []step{
+			{loads: map[string]reading{"a": {qw: 10, dw: 2}, "b": {dw: 2}, "c": {dw: 2}, "d": {qw: 500, dw: 2}}},
+		}},
+		{"a latch clears once too few peers remain", []step{
+			{loads: flat(30), slow: []string{"d"}},
+			{loads: flat(30), fenced: []string{"b"}, slow: []string{"d"}},
+			{loads: flat(30), fenced: []string{"c"}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var log bytes.Buffer
+			c := New(Config{HeartbeatEvery: time.Hour, Log: obs.NewLogger(&log)})
+			defer c.Close()
+			for i, st := range tc.steps {
+				c.mu.Lock()
+				for name, r := range st.loads {
+					n := c.nodes[name]
+					if n == nil {
+						n = &node{Name: name}
+						c.nodes[name] = n
+					}
+					n.Load = server.Load{Health: server.HealthReady, QueueWaitMs: r.qw, DiskWriteMs: r.dw}
+				}
+				for _, name := range st.fenced {
+					c.nodes[name].Fenced = true
+				}
+				c.mu.Unlock()
+
+				log.Reset()
+				c.updateSlow()
+				for _, want := range st.log {
+					if !strings.Contains(log.String(), want) {
+						t.Errorf("step %d: log lacks %q:\n%s", i, want, log.String())
+					}
+				}
+
+				c.mu.Lock()
+				var slow []string
+				for _, name := range []string{"a", "b", "c", "d"} {
+					if n := c.nodes[name]; n != nil && n.Slow {
+						slow = append(slow, name)
+					}
+				}
+				c.mu.Unlock()
+				if fmt.Sprint(slow) != fmt.Sprint(st.slow) {
+					t.Errorf("step %d: slow nodes %v, want %v", i, slow, st.slow)
+				}
+			}
+		})
+	}
+}

@@ -19,24 +19,22 @@ import (
 // and every journal write drags — and a stream of deadline-carrying
 // jobs. The test runs the same workload twice in one process:
 //
-//   - baseline: hedging off. Jobs placed on the slow node before the
+//   - baseline: moves off. Jobs placed on the slow node before the
 //     coordinator latches its slow posture run to completion at the
 //     slow node's pace; the tail is whatever the straggler makes it.
-//   - hedged: Hedge=40ms. The same stragglers get a second copy on a
-//     healthy peer once they outrun the delay, the first durable
-//     result wins the coordinator's claim ledger, and the loser is
-//     superseded.
+//   - moved: MoveAfter=40ms. The same stragglers are stolen from the
+//     slow node once they outrun the delay and resumed on a healthy
+//     peer from their last durable checkpoint.
 //
 // The contract:
 //
-//   - the hedged tail (p99) is strictly below the baseline tail, in
-//     the same process, same seeds, same slow node;
+//   - the moved tail (p99) is strictly below the baseline tail, in the
+//     same process, same seeds, same slow node;
 //   - zero jobs lost, zero duplicated: every job reaches done with the
 //     oracle fingerprint, and is committed done in exactly ONE journal
-//     fleet-wide — a losing hedge that also committed would show up
-//     here as two;
+//     fleet-wide;
 //   - the coordinator actually latched the slow node's posture, and
-//     actually launched hedges (the win is causal, not luck).
+//     actually moved jobs (the win is causal, not luck).
 func TestFleetSlowSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fail-slow soak; run without -short")
@@ -57,28 +55,28 @@ func TestFleetSlowSoak(t *testing.T) {
 	}
 
 	base := runSlowPhase(t, "baseline", 0, specs, wantFP, numJobs)
-	hedged := runSlowPhase(t, "hedged", 40*time.Millisecond, specs, wantFP, numJobs)
+	moved := runSlowPhase(t, "moved", 40*time.Millisecond, specs, wantFP, numJobs)
 
-	if base.hedges != 0 {
-		t.Errorf("baseline phase launched %d hedges with hedging off", base.hedges)
+	if base.moves != 0 {
+		t.Errorf("baseline phase moved %d jobs with moves off", base.moves)
 	}
-	if hedged.hedges == 0 {
-		t.Error("hedged phase launched no hedges — the tail comparison proves nothing")
+	if moved.moves == 0 {
+		t.Error("moved phase moved no job — the tail comparison proves nothing")
 	}
-	if !hedged.sawSlow {
-		t.Error("coordinator never latched the slow node's posture in the hedged phase")
+	if !moved.sawSlow {
+		t.Error("coordinator never latched the slow node's posture in the moved phase")
 	}
 
-	bp99, hp99 := p99(base.lats), p99(hedged.lats)
-	t.Logf("p99: baseline=%v hedged=%v (hedges launched: %d)", bp99, hp99, hedged.hedges)
-	if hp99 >= bp99 {
-		t.Errorf("hedged p99 %v not below no-hedge baseline p99 %v", hp99, bp99)
+	bp99, mp99 := p99(base.lats), p99(moved.lats)
+	t.Logf("p99: baseline=%v moved=%v (moves: %d)", bp99, mp99, moved.moves)
+	if mp99 >= bp99 {
+		t.Errorf("moved p99 %v not below unmoved baseline p99 %v", mp99, bp99)
 	}
 }
 
 type slowPhase struct {
 	lats    []time.Duration
-	hedges  int64
+	moves   int64
 	sawSlow bool
 }
 
@@ -87,7 +85,7 @@ type slowPhase struct {
 // sequentially, and returns the per-job latencies. Before returning it
 // asserts the phase's own zero-loss/zero-dup contract across all four
 // journals.
-func runSlowPhase(t *testing.T, name string, hedge time.Duration,
+func runSlowPhase(t *testing.T, name string, moveAfter time.Duration,
 	specs []server.JobSpec, wantFP []string, numJobs int) slowPhase {
 	t.Helper()
 	var out slowPhase
@@ -97,7 +95,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			HeartbeatMiss:  40, // nobody dies in this test; fencing would hide fail-slow
 			RetryBase:      2 * time.Millisecond,
 			RetryMax:       20 * time.Millisecond,
-			Hedge:          hedge,
+			MoveAfter:      moveAfter,
 		})
 		ts := httptest.NewServer(c.Handler())
 		defer func() {
@@ -120,9 +118,6 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 				JournalDir:  t.TempDir(),
 				RetryBase:   time.Millisecond,
 				RetryMax:    20 * time.Millisecond,
-				// Every worker arbitrates token-carrying commits through
-				// the coordinator — exactly the production wiring.
-				ClaimCommit: ClaimClient(ts.URL, nn, nil),
 			}
 			if nn == slowName {
 				// The fail-slow node: every board mutation stalls 2ms and
@@ -166,11 +161,10 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 				}
 			}
 		}
-		out.hedges = c.obs.hedgeLaunched.Value()
+		out.moves = c.obs.moves.Value()
 
 		// Zero loss, zero duplication: each job committed done in exactly
-		// one journal. A losing hedge that slipped past the claim ledger
-		// would commit a second done here.
+		// one journal.
 		doneIn := make(map[string][]string)
 		for nn, dir := range journals {
 			recs, err := server.LoadRecords(dir, func(path string, err error) {
@@ -191,7 +185,7 @@ func runSlowPhase(t *testing.T, name string, hedge time.Duration,
 			case 0:
 				t.Errorf("job %s reported done but committed in no journal", id)
 			default:
-				t.Errorf("job %s committed done on %d nodes (%v) — hedge fencing violated",
+				t.Errorf("job %s committed done on %d nodes (%v)",
 					id, len(owners), owners)
 			}
 		}

@@ -60,12 +60,6 @@ func (s *Segment) Channel() int { return s.ch.index }
 // result means the segment handle is stale (its metal was removed).
 func (s *Segment) Stored() bool { return s.ch != nil }
 
-// Next returns the next-higher segment in the same channel, or nil.
-func (s *Segment) Next() *Segment { return s.next }
-
-// Prev returns the next-lower segment in the same channel, or nil.
-func (s *Segment) Prev() *Segment { return s.prev }
-
 // Channel is one routing channel: a doubly linked list of segments sorted
 // by position, plus the moving cursor that makes localized probes cheap.
 type Channel struct {

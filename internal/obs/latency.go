@@ -8,12 +8,12 @@ import (
 
 // Latency instruments for the fail-slow machinery (DESIGN §14). The
 // registry's Histogram is built for scraping — fixed buckets, no
-// quantile extraction — but slow-node detection and hedge-delay
+// quantile extraction — but slow-node detection and move-delay
 // derivation need two things a scrape series cannot give: a recent
 // average that forgets the past at a controlled rate (EWMA) and an
 // exact percentile over a bounded window of recent samples (Window).
 // Both are standalone values, not registry series: they feed decisions
-// (candidate demotion, hedge timers, admission estimates), and the
+// (candidate demotion, move timers, admission estimates), and the
 // decisions' outcomes are what the registry counts.
 
 // EWMA is a thread-safe exponentially weighted moving average. The
@@ -69,7 +69,7 @@ func (e *EWMA) Samples() int64 {
 // Window is a thread-safe fixed-capacity ring of recent samples with
 // exact percentile extraction. Old samples fall out as new ones
 // arrive, so a node that was slow yesterday does not poison today's
-// hedge delay. The zero value is NOT ready; use NewWindow.
+// move delay. The zero value is NOT ready; use NewWindow.
 type Window struct {
 	mu   sync.Mutex
 	buf  []float64

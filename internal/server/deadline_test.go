@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/board"
+	"repro/internal/boardio"
 	"repro/internal/faultinject"
 )
 
@@ -107,12 +109,11 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 	}
 }
 
-// TestMaxBodyRejected: request hardening — a body over MaxBodyBytes is
-// refused with 413 before it is buffered whole.
+// TestMaxBodyRejected: request hardening — a body just over
+// MaxBodyBytes is refused with 413 before it is buffered whole, and a
+// normal-sized spec fits under the cap.
 func TestMaxBodyRejected(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.MaxBodyBytes = 1024
-	s, err := New(cfg)
+	s, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestMaxBodyRejected(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	big, err := json.Marshal(JobSpec{Design: strings.Repeat("x", 4096)})
+	big, err := json.Marshal(JobSpec{Design: strings.Repeat("x", MaxBodyBytes)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,24 +134,15 @@ func TestMaxBodyRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized POST = %d, want 413", resp.StatusCode)
 	}
-
-	// A normal-sized spec still fits comfortably under the default cap.
-	s2, err := New(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainServer(t, s2)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	if resp := postJob(t, ts2.URL, testSpec(t, 5, nil)); resp.StatusCode != http.StatusAccepted {
+	if resp := postJob(t, ts.URL, testSpec(t, 5, nil)); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("normal POST = %d, want 202", resp.StatusCode)
 	}
 }
 
-// TestJournalDeadlineTokenRoundTrip: the deadline and hedge-token
-// directives survive write→parse exactly, and a record carrying
-// neither serializes without those lines at all — the byte-identical
-// guarantee for the no-hedge, no-deadline path.
+// TestJournalDeadlineTokenRoundTrip: the deadline directive survives
+// write→parse exactly, and a record without one serializes with no
+// deadline line — the byte-identical guarantee for the no-deadline
+// path. No record carries a token line.
 func TestJournalDeadlineTokenRoundTrip(t *testing.T) {
 	cfg := testConfig(t)
 	if err := cfg.setDefaults(); err != nil {
@@ -162,10 +154,7 @@ func TestJournalDeadlineTokenRoundTrip(t *testing.T) {
 	}
 
 	deadline := time.Unix(0, 1754600000123456789)
-	j := &Job{
-		ID: "job-000042", State: StateQueued, snap: snap,
-		Deadline: deadline, HedgeToken: 2,
-	}
+	j := &Job{ID: "job-000042", State: StateQueued, snap: snap, Deadline: deadline}
 	var buf bytes.Buffer
 	if err := writeJobRecord(&buf, j); err != nil {
 		t.Fatal(err)
@@ -177,8 +166,8 @@ func TestJournalDeadlineTokenRoundTrip(t *testing.T) {
 	if !rec.Deadline.Equal(deadline) {
 		t.Errorf("deadline = %v, want %v", rec.Deadline, deadline)
 	}
-	if rec.HedgeToken != 2 {
-		t.Errorf("token = %d, want 2", rec.HedgeToken)
+	if bytes.Contains(buf.Bytes(), []byte("\ntoken ")) {
+		t.Errorf("record carries a token line:\n%s", buf.String())
 	}
 
 	plain := &Job{ID: "job-000043", State: StateQueued, snap: snap}
@@ -190,5 +179,52 @@ func TestJournalDeadlineTokenRoundTrip(t *testing.T) {
 		if bytes.Contains(buf.Bytes(), []byte("\n"+dir)) {
 			t.Errorf("record without %s carries a %q line:\n%s", strings.TrimSpace(dir), dir, buf.String())
 		}
+	}
+}
+
+// TestLegacyTokenRecordResumes: a journal record written by the retired
+// hedged-execution protocol carries a "token" line. It still loads and
+// resumes to the uninterrupted run's fingerprint, and the records the
+// job writes from then on carry no token line.
+func TestLegacyTokenRecordResumes(t *testing.T) {
+	cfg := testConfig(t)
+	spec := testSpec(t, 5, nil)
+	wantFP, _ := baseline(t, spec, cfg)
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := buildSnapshot(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000000"
+	var buf bytes.Buffer
+	if err := writeJobRecord(&buf, &Job{ID: id, State: StateQueued, snap: snap}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := boardio.VerifyChecksum(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.NewBuffer(bytes.Replace(body, []byte("\nsnapshot begin\n"), []byte("\ntoken 2\nsnapshot begin\n"), 1))
+	boardio.AppendChecksum(legacy)
+	if err := os.WriteFile(journalPath(cfg.JournalDir, id), legacy.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, s)
+	if fin := waitTerminal(t, s, id); fin.State != StateDone || fin.Fingerprint != fingerprintString(wantFP) {
+		t.Fatalf("legacy record finished %+v, want done with fingerprint %s", fin, fingerprintString(wantFP))
+	}
+	data, err := os.ReadFile(journalPath(cfg.JournalDir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("\ntoken ")) {
+		t.Errorf("the rewritten record kept the token line:\n%s", data)
 	}
 }

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -156,6 +159,194 @@ func TestStealNothingQueued(t *testing.T) {
 		t.Fatalf("steal from empty server = (%v, %v), want (nil, nil)", rec, err)
 	}
 	drainServer(t, s)
+}
+
+// TestStealJobStopsRunningAttempt: a steal by ID of a running job
+// cancels its attempt, which stops at the router's next abort check and
+// takes the steal edge as it unwinds. The returned record is the
+// handed_off record already durable in the donor's journal, checkpoint
+// included, and a peer that adopts it finishes the job bit-identically
+// to an unmoved run: exactly one journal holds done.
+func TestStealJobStopsRunningAttempt(t *testing.T) {
+	cfgA := testConfig(t)
+	blk := faultinject.BlockAt(6) // past the first checkpoints
+	cfgA.BoardHook = func(b *board.Board) { b.Interpose(blk) }
+	a, err := New(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, a)
+	defer blk.Release()
+	spec := testSpec(t, 5, map[string]int64{"checkpointevery": 1})
+	wantFP, wantM := baseline(t, spec, cfgA)
+	st, err := a.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, blk.Fired, "blocker never fired")
+
+	type stolen struct {
+		rec *Job
+		err error
+	}
+	got := make(chan stolen, 1)
+	go func() {
+		rec, _, err := a.StealJob(st.ID)
+		got <- stolen{rec, err}
+	}()
+	waitCond(t, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return atStolen.holds(a.jobs[st.ID])
+	}, "StealJob never marked the running attempt")
+	blk.Release()
+	var r stolen
+	select {
+	case r = <-got:
+	case <-time.After(20 * time.Second):
+		t.Fatal("StealJob never returned")
+	}
+	if r.err != nil || r.rec == nil || r.rec.State != StateHandedOff {
+		t.Fatalf("StealJob = %+v, %v; want the handed_off record", r.rec, r.err)
+	}
+	if cp := r.rec.Snapshot().Check; cp.Pass == 0 && cp.NextPos == 0 {
+		t.Error("the moved record carries no routing progress")
+	}
+	var want bytes.Buffer
+	if err := r.rec.EncodeRecord(&want); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(journalPath(cfgA.JournalDir, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want.Bytes()) {
+		t.Errorf("the donor's journal does not hold the record that left:\n%s", onDisk)
+	}
+	if l := a.Load(); l.Live != 0 || l.Running != 0 {
+		t.Errorf("donor Load = %+v, want nothing live or running", l)
+	}
+
+	cfgB := testConfig(t)
+	cfgB.NodeName = "b"
+	b, err := New(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, b)
+	if _, err := b.Adopt(r.rec); err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, b, st.ID)
+	if fin.State != StateDone || fin.Fingerprint != fingerprintString(wantFP) || *fin.Metrics != wantM {
+		t.Fatalf("moved job finished %+v, want done with fingerprint %s and metrics %+v",
+			fin, fingerprintString(wantFP), wantM)
+	}
+	var done []string
+	for _, dir := range []string{cfgA.JournalDir, cfgB.JournalDir} {
+		recs, err := LoadRecords(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.State == StateDone {
+				done = append(done, dir)
+			}
+		}
+	}
+	if len(done) != 1 || done[0] != cfgB.JournalDir {
+		t.Errorf("done records in %v, want exactly the adopter's journal", done)
+	}
+}
+
+// TestStealJobSettledMovesNothing: a job that finished before the steal
+// by ID lands stays where it is, and the steal reports its state — 409
+// over HTTP; an unknown ID is a 404.
+func TestStealJobSettledMovesNothing(t *testing.T) {
+	s, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, s)
+	st, err := s.Submit(testSpec(t, 5, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, st.ID)
+	if rec, state, err := s.StealJob(st.ID); rec != nil || state != StateDone || err != nil {
+		t.Fatalf("StealJob of a done job = %v, %s, %v; want nothing moved, done", rec, state, err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for path, want := range map[string]int{st.ID: http.StatusConflict, "job-999999": http.StatusNotFound} {
+		resp, err := http.Post(ts.URL+"/fleet/steal/"+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST /fleet/steal/%s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+	if got, _ := s.Status(st.ID); got.State != StateDone {
+		t.Errorf("the settled job is %s after the steals, want done", got.State)
+	}
+}
+
+// TestFencedNodeRefusesWith503: a fenced node refuses a submission, an
+// edit and a handoff alike with 503 and the drain's Retry-After — the
+// code of a node that is leaving, not a client error that would end the
+// coordinator's placement walk.
+func TestFencedNodeRefusesWith503(t *testing.T) {
+	cfg := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainServer(t, s)
+	spec := testSpec(t, 5, nil)
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, st.ID)
+	rec, err := readJobPath(journalPath(cfg.JournalDir, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.ID, rec.State = "job-peer-000001", StateQueued
+	var handoff bytes.Buffer
+	if err := rec.EncodeRecord(&handoff); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FenceJournal(cfg.JournalDir); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	specBody, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/jobs", string(specBody)}, // the first journal write meets the fence
+		{"/jobs", string(specBody)}, // the latched refusal
+		{"/jobs/" + st.ID + "/edit", `{"edits": "block 1 1 2 2\n"}`},
+		{"/fleet/handoff", handoff.String()},
+	} {
+		resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != s.retryAfterDrain {
+			t.Errorf("POST %s on a fenced node = %d, Retry-After %q; want 503, %q",
+				req.path, resp.StatusCode, resp.Header.Get("Retry-After"), s.retryAfterDrain)
+		}
+	}
 }
 
 // TestJournalFencing is the zombie witness: once the journal epoch is

@@ -23,8 +23,6 @@ import (
 //	                applying an edit script (the boardio edits format);
 //	                202 + the derived job's Status, 404 unknown parent,
 //	                409 parent not done, else the usual submit codes
-//	POST /jobs/{id}/cancel  supersede a hedged copy: 200 + its state,
-//	                404 if unknown
 //	GET  /healthz   liveness: 200 while the process serves at all
 //	GET  /readyz    readiness: 200 ready, 503 with a body naming WHY
 //	                not — "draining", "saturated" or "fenced" — so a
@@ -34,10 +32,13 @@ import (
 //	GET  /load      the Load occupancy report (fleet heartbeats relay it)
 //	POST /fleet/steal    relinquish one queued job: 200 + its journal
 //	                     record, 204 when nothing is stealable
+//	POST /fleet/steal/{id}  relinquish the named job wherever it is in
+//	                     its run (a running attempt stops first): 200 +
+//	                     its journal record, 409 + its state when it
+//	                     settled first, 404 if unknown
 //	POST /fleet/handoff  adopt a journal record from a peer: 202 +
-//	                     Status, or the usual 429/503 shedding
-//	POST /fleet/hedge-arm  gate a job behind the coordinator's commit
-//	                     claim: 200 + its state and whether it armed
+//	                     Status, 409 when this node holds the job, or
+//	                     the submit codes' shedding
 //	GET  /metrics   Prometheus text exposition of the daemon's registry
 //	                (only when Config.Metrics is set)
 //
@@ -50,9 +51,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("POST /jobs/{id}/edit", s.handleEdit)
-	mux.HandleFunc("POST /fleet/hedge-arm", s.handleHedgeArm)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -61,6 +60,7 @@ func (s *Server) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, s.Load())
 	})
 	mux.HandleFunc("POST /fleet/steal", s.handleSteal)
+	mux.HandleFunc("POST /fleet/steal/{id}", s.handleSteal)
 	mux.HandleFunc("POST /fleet/handoff", s.handleHandoff)
 	if s.cfg.Metrics != nil {
 		mux.Handle("GET /metrics", s.cfg.Metrics)
@@ -93,11 +93,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, map[string]string{"status": h})
 }
 
-// handleSteal pops one queued job for a peer: its full journal record
-// (checkpoint included) is the response body, in the grrdjob format.
-// The job is already flipped to handed_off and journaled before a byte
-// is written, so a half-delivered response can at worst strand the job
-// as handed_off here — never run it in two places.
+// handleSteal gives up one job for a peer — the newest waiting one, or
+// the job the path names, wherever it is in its run — and writes its
+// full journal record (checkpoint included) as the response body, in
+// the grrdjob format. The job is already flipped to handed_off and
+// journaled before a byte is written, so a half-delivered response can
+// at worst strand the job as handed_off here — never run it in two
+// places.
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if s.fenced.Load() || s.draining.Load() {
 		// A leaving node's queue is the coordinator's to recover wholesale,
@@ -105,12 +107,26 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, httpError{Error: "node is " + s.Health()})
 		return
 	}
-	rec, err := s.Steal()
-	if err != nil {
+	var rec *Job
+	var st State
+	var err error
+	if id := r.PathValue("id"); id != "" {
+		rec, st, err = s.StealJob(id)
+	} else {
+		rec, err = s.Steal()
+	}
+	switch {
+	case errors.Is(err, ErrUnknownJob):
+		s.writeJSON(w, http.StatusNotFound, httpError{Error: err.Error()})
+		return
+	case err != nil:
 		s.writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
 		return
-	}
-	if rec == nil {
+	case rec == nil && st != "":
+		// The named job settled, or was handed off, before the steal landed.
+		s.writeJSON(w, http.StatusConflict, map[string]string{"state": string(st)})
+		return
+	case rec == nil:
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -134,21 +150,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.writeJSON(w, http.StatusAccepted, st)
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", s.retryAfterFull)
-		s.writeJSON(w, http.StatusTooManyRequests, httpError{Error: err.Error()})
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrFenced):
-		w.Header().Set("Retry-After", s.retryAfterDrain)
-		s.writeJSON(w, http.StatusServiceUnavailable, httpError{Error: err.Error()})
-	case errors.Is(err, ErrDiskDegraded):
-		w.Header().Set("Retry-After", s.retryAfterDisk)
-		s.writeJSON(w, http.StatusInsufficientStorage, httpError{Error: err.Error()})
 	case errors.Is(err, ErrDuplicate):
 		s.writeJSON(w, http.StatusConflict, httpError{Error: err.Error()})
-	case errors.Is(err, ErrInternal):
-		s.writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
 	default:
-		s.writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+		s.refuse(w, err)
 	}
 }
 
@@ -157,55 +162,55 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
-// submitCode maps a Submit or SubmitEdit refusal to its HTTP status
-// and Retry-After hint ("" = none). One table for submits and edits, so
-// the codes can't drift.
-func (s *Server) submitCode(err error) (code int, retryAfter string) {
+// refuse answers an admission refusal — of a submit, an edit or a
+// handoff — with its HTTP status and Retry-After hint. One table for
+// all three, so the codes can't drift.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	code, retryAfter := http.StatusBadRequest, ""
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Shed load, don't queue unboundedly: tell the client when to
 		// come back. A slot frees after roughly one backoff interval, so
 		// the hint derives from Config.RetryBase, not a hardcoded guess.
-		return http.StatusTooManyRequests, s.retryAfterFull
-	case errors.Is(err, ErrDraining):
-		// A draining daemon is gone for good after at most DrainBudget;
-		// steer the client to its replacement on that horizon.
-		return http.StatusServiceUnavailable, s.retryAfterDrain
+		code, retryAfter = http.StatusTooManyRequests, s.retryAfterFull
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrFenced):
+		// A draining daemon is gone for good after at most DrainBudget,
+		// and a fenced one admits nothing again; steer the client to a
+		// peer on that horizon.
+		code, retryAfter = http.StatusServiceUnavailable, s.retryAfterDrain
 	case errors.Is(err, ErrDiskDegraded):
 		// 507 Insufficient Storage: the truthful code for "this node's
 		// disk cannot take your job". Retry-After points at the next
 		// self-probe; fleet clients treat it like any other shed.
-		return http.StatusInsufficientStorage, s.retryAfterDisk
+		code, retryAfter = http.StatusInsufficientStorage, s.retryAfterDisk
 	case errors.Is(err, ErrDeadline):
 		// 504 Gateway Timeout: the job's deadline budget cannot cover
 		// its estimated cost here. Retry-After hints at the backoff
 		// horizon — a less loaded (or faster) node may still make it.
-		return http.StatusGatewayTimeout, s.retryAfterFull
+		code, retryAfter = http.StatusGatewayTimeout, s.retryAfterFull
 	case errors.Is(err, ErrInternal):
-		return http.StatusInternalServerError, ""
-	default:
-		// Submit validates the spec before touching the queue, so any
-		// other error is a client-side spec problem.
-		return http.StatusBadRequest, ""
+		code = http.StatusInternalServerError
 	}
+	// Otherwise 400: admission validates the request before touching
+	// the queue, so any other error is a client-side problem.
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
+	}
+	s.writeJSON(w, code, httpError{Error: err.Error()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, code, err := DecodeSpec(w, r, s.cfg.MaxBodyBytes)
+	spec, code, err := DecodeSpec(w, r, MaxBodyBytes)
 	if err != nil {
 		s.writeJSON(w, code, httpError{Error: err.Error()})
 		return
 	}
 	st, err := s.Submit(spec)
-	if err == nil {
-		s.writeJSON(w, http.StatusAccepted, st)
+	if err != nil {
+		s.refuse(w, err)
 		return
 	}
-	code, ra := s.submitCode(err)
-	if ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	s.writeJSON(w, code, httpError{Error: err.Error()})
+	s.writeJSON(w, http.StatusAccepted, st)
 }
 
 // DecodeSpec is the request step of POST /jobs. grrd and the fleet
@@ -253,7 +258,7 @@ type editRequest struct {
 // scratch, retried, pollable at GET /jobs/{id}.
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	var req editRequest
-	if err := decodeStrict(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeStrict(w, r, MaxBodyBytes, &req); err != nil {
 		s.writeJSON(w, bodyErrCode(err), httpError{Error: "bad edit request: " + err.Error()})
 		return
 	}
@@ -271,53 +276,8 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrNotDone):
 		s.writeJSON(w, http.StatusConflict, httpError{Error: err.Error()})
 	default:
-		code, ra := s.submitCode(err)
-		if ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		s.writeJSON(w, code, httpError{Error: err.Error()})
+		s.refuse(w, err)
 	}
-}
-
-// handleCancel is the coordinator's supersede signal: a hedge peer's
-// result won, stop working on this copy. Idempotent — cancelling a
-// settled or already-superseded job reports its state and changes
-// nothing.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Supersede(r.PathValue("id"))
-	if err != nil {
-		s.writeJSON(w, http.StatusNotFound, httpError{Error: err.Error()})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"state": string(st)})
-}
-
-// hedgeArmRequest is the POST /fleet/hedge-arm payload.
-type hedgeArmRequest struct {
-	Job   string `json:"job"`
-	Token uint64 `json:"token"`
-}
-
-// handleHedgeArm gates a job behind the coordinator's commit claim
-// before a hedge is launched. The response reports the job's state and
-// whether the gate actually armed — the coordinator skips the hedge
-// when it didn't (job terminal, handed off, or mid-commit).
-func (s *Server) handleHedgeArm(w http.ResponseWriter, r *http.Request) {
-	var req hedgeArmRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, httpError{Error: "bad arm request: " + err.Error()})
-		return
-	}
-	if req.Job == "" || req.Token == 0 {
-		s.writeJSON(w, http.StatusBadRequest, httpError{Error: "bad arm request: job and token are required"})
-		return
-	}
-	st, armed, err := s.ArmClaim(req.Job, req.Token)
-	if err != nil {
-		s.writeJSON(w, http.StatusNotFound, httpError{Error: err.Error()})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"state": string(st), "armed": armed})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -54,7 +54,7 @@ const (
 	// permanent error.
 	StateFailed State = "failed"
 	// StateHandedOff: this node relinquished the job to a peer — stolen
-	// while queued, or recovered from this journal by the fleet
+	// by the fleet, or recovered from this journal by the fleet
 	// coordinator after the node was fenced. Locally final: the node
 	// never runs it again and a restart never requeues it; the
 	// authoritative record now lives in the new owner's journal.
@@ -126,13 +126,6 @@ type Job struct {
 	// deadline — the budget is end-to-end, not per-owner.
 	Deadline time.Time
 
-	// HedgeToken is the per-job attempt token of the hedged-execution
-	// protocol (DESIGN §14): 0 for a normal job, assigned by the fleet
-	// coordinator the moment a hedge exists for this job. Journaled
-	// when non-zero; a token-carrying record must win the coordinator's
-	// commit claim before journaling a terminal state.
-	HedgeToken uint64
-
 	// busy is the job's latch: set while a transition runs, from its
 	// check to its log line, so each record has one writer at a time.
 	// Waiters sleep on Server.idle. Runtime-only.
@@ -140,21 +133,6 @@ type Job struct {
 
 	// stopRetry cancels a pending backoff timer; nil when none is armed.
 	stopRetry func() bool
-
-	// claimRequired marks a job that must win the coordinator's commit
-	// claim before its terminal state may be journaled — set by
-	// ArmClaim (the coordinator is about to hedge) or on adopting /
-	// recovering a record whose HedgeToken is non-zero. Runtime-only:
-	// the journaled token re-derives it.
-	claimRequired bool
-
-	// committing marks a terminal commit in flight: set (under the
-	// server mutex) the moment claimTerminal decides whether a claim is
-	// required, cleared when a fresh attempt starts. ArmClaim refuses to
-	// arm a committing job — closing the window where a hedge could be
-	// launched between the claim decision and the terminal journal
-	// write, which would let both copies commit. Runtime-only.
-	committing bool
 
 	// cancelRun aborts the running attempt's context. Runtime-only.
 	cancelRun context.CancelFunc
@@ -165,7 +143,7 @@ type Job struct {
 	enqueuedAt time.Time
 
 	// marks are the runtime flags the lifecycle table narrows states by
-	// (markParked, markSuperseded, markUnjournaled). Runtime-only.
+	// (markParked, markStolen, markUnjournaled). Runtime-only.
 	marks mark
 
 	// created is when this process admitted (or recovered) the job —

@@ -27,7 +27,6 @@ import (
 //	error <quoted string>            last failure, "" when none
 //	aborted <quoted string>          abort reason of the last stop, "" when none
 //	deadline <unix nanos>            absolute client deadline; omitted when none
-//	token <n>                        hedge attempt token; omitted when 0
 //	result <16-hex fingerprint> <audit 0/1>   done jobs only
 //	snapshot begin
 //	...WriteSnapshot lines (with their own checksum)...
@@ -37,7 +36,9 @@ import (
 // Atomic rename means a crash leaves either the previous record or the
 // new one; the whole-file checksum catches the remaining hazard — a
 // torn or bit-rotted file from outside the daemon — so recovery never
-// trusts a corrupt record. Terminal jobs keep their journal entry (it
+// trusts a corrupt record. A "token" line, which records of the retired
+// hedged-execution protocol carry, is read and ignored, and a rewritten
+// record drops it. Terminal jobs keep their journal entry (it
 // is the system of record a client polls after a restart); non-terminal
 // entries are what a restarted daemon requeues.
 
@@ -56,13 +57,10 @@ func writeJobRecord(w io.Writer, j *Job) error {
 	fmt.Fprintf(&buf, "attempt %d\n", j.Attempt)
 	fmt.Fprintf(&buf, "error %s\n", strconv.Quote(j.Err))
 	fmt.Fprintf(&buf, "aborted %s\n", strconv.Quote(j.Aborted))
-	// Deadline and token lines are emitted only when set: a job with
-	// neither writes the exact bytes the pre-hedging format wrote.
+	// The deadline line is emitted only when set: a job without one
+	// writes the exact bytes the pre-deadline format wrote.
 	if !j.Deadline.IsZero() {
 		fmt.Fprintf(&buf, "deadline %d\n", j.Deadline.UnixNano())
-	}
-	if j.HedgeToken != 0 {
-		fmt.Fprintf(&buf, "token %d\n", j.HedgeToken)
 	}
 	if j.State == StateDone {
 		fmt.Fprintf(&buf, "result %016x %d\n", j.Fingerprint, boolDigit(j.AuditOK))
@@ -143,11 +141,7 @@ func readJobRecord(r io.Reader) (*Job, error) {
 			}
 			j.Deadline = time.Unix(0, ns)
 		case "token":
-			tok, err := strconv.ParseUint(rest, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("server: job record: bad token %q", rest)
-			}
-			j.HedgeToken = tok
+			// A legacy hedge attempt token: its value is ignored.
 		case "result":
 			f := strings.Fields(rest)
 			if len(f) != 2 {
@@ -309,17 +303,11 @@ func (j *Job) EncodeRecord(w io.Writer) error { return writeJobRecord(w, j) }
 // DecodeRecord parses and validates one grrdjob v1 record.
 func DecodeRecord(r io.Reader) (*Job, error) { return readJobRecord(r) }
 
-// SaveRecord writes j's record into dir crash-safely, bypassing any
-// server's fence guard — it is the fleet coordinator's write path into
-// a journal it has fenced and now owns.
-func SaveRecord(dir string, j *Job) error { return saveJobRecord(dir, j) }
-
 // LoadRecord reads one job's record from dir — the coordinator's read
-// path when it hedges a still-running job: the copy the healthy peer
-// adopts is the owner's last durable checkpoint, read straight off the
-// shared filesystem. Atomic rename means a concurrent checkpoint write
-// yields either the previous record or the new one, never a torn read
-// the checksum would miss.
+// path when the answer to a move's steal was lost and the donor holds
+// the job handed_off (DESIGN §14). Atomic rename means a concurrent
+// write yields either the previous record or the new one, never a torn
+// read the checksum would miss.
 func LoadRecord(dir, id string) (*Job, error) {
 	return readJobPath(journalPath(dir, id))
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -33,8 +32,7 @@ const (
 	evDrainPark               // a drain parked a pending retry
 	evDiskPark                // the attempt died on a disk error
 	evUnpark                  // the disk healed
-	evSteal                   // the fleet took a waiting job
-	evSupersede               // a hedge peer's copy won
+	evSteal                   // the fleet took the job: a waiting one, or a stopped attempt
 	evRejournal               // the disk healed under an unjournaled handoff
 	numEvents
 )
@@ -43,14 +41,13 @@ const (
 type (
 	mark        uint8 // runtime flags the table narrows states by
 	slotMove    uint8 // an edge's effect on the admission semaphore
-	claimGate   uint8 // whether the hedge commit claim runs before the write
 	writePolicy uint8 // what a failed journal write does to the edge
 )
 
 // Job.marks flags; the table narrows a state to jobs carrying marks.
 const (
 	markParked      mark = 1 << iota // interrupted by a degraded disk, slot kept
-	markSuperseded                   // a copy cancelled because a hedge peer's copy won
+	markStolen                       // a running attempt StealJob cancelled; kept while running
 	markUnjournaled                  // handed_off, but the disk refused its record
 )
 
@@ -58,12 +55,6 @@ const (
 	slotKeep    slotMove = iota
 	slotTake             // acquire without blocking; a full node refuses the edge
 	slotRelease          // the job stops being live here
-)
-
-const (
-	claimNone  claimGate = iota
-	claimGated           // a claim error refuses the edge (errUnclaimed)
-	claimOpen            // a claim error lets the edge through
 )
 
 const (
@@ -87,7 +78,6 @@ type edge struct {
 	to    at
 	slot  slotMove
 	queue bool // the job joins the run queue
-	claim claimGate
 	write writePolicy
 	count []string // counters bumped when the edge is taken
 	log   string   // structured log event ("" for none)
@@ -97,7 +87,7 @@ type edge struct {
 var (
 	atQueued      = at{state: StateQueued}
 	atRunning     = at{state: StateRunning}
-	atSuperseded  = at{StateRunning, markSuperseded}
+	atStolen      = at{StateRunning, markStolen}
 	atRetrying    = at{state: StateRetrying}
 	atInterrupted = at{state: StateInterrupted}
 	atParked      = at{StateInterrupted, markParked}
@@ -120,14 +110,14 @@ var edges = [numEvents]edge{
 	evStart: {from: []at{atQueued}, to: atRunning, write: writeBest,
 		count: []string{"grr_job_attempts_total"}, log: "job_running"},
 	evCheckpoint: {from: []at{atRunning}, to: atRunning, write: writeBest},
-	evDone: {from: []at{atRunning}, to: atDone, slot: slotRelease, claim: claimGated, write: writeBest,
+	evDone: {from: []at{atRunning}, to: atDone, slot: slotRelease, write: writeBest,
 		count: []string{"grr_jobs_done_total"}, log: "job_done"},
 	// Retries are counted by cause, which only the caller knows.
 	evRetry: {from: []at{atRunning}, to: atRetrying, write: writeBest,
 		log: "job_retrying"},
 	evRequeue: {from: []at{atRetrying}, to: atQueued, queue: true, write: writeBest,
 		log: "job_requeued"},
-	evFail: {from: []at{atRunning, atRetrying}, to: atFailed, slot: slotRelease, claim: claimOpen, write: writeBest,
+	evFail: {from: []at{atRunning, atRetrying}, to: atFailed, slot: slotRelease, write: writeBest,
 		count: []string{"grr_jobs_failed_total"}, log: "job_failed"},
 	evInterrupt: {from: []at{atRunning}, to: atInterrupted, write: writeBest,
 		count: []string{"grr_jobs_interrupted_total"}, log: "job_interrupted"},
@@ -137,11 +127,8 @@ var edges = [numEvents]edge{
 		count: []string{"grr_disk_jobs_parked_total", "grr_jobs_interrupted_total"}, log: "job_parked_disk"},
 	evUnpark: {from: []at{atParked}, to: atQueued, queue: true, write: writeMust,
 		log: "job_unparked"},
-	evSteal: {from: []at{atQueued, atParked}, to: atHandedOff, slot: slotRelease, write: writeHandoff,
-		count: []string{"grr_jobs_stolen_total"}, log: "job_stolen"},
-	evSupersede: {from: []at{atQueued, atRetrying, atInterrupted, atSuperseded}, to: atHandedOff,
-		slot: slotRelease, write: writeBest,
-		count: []string{"grr_hedge_superseded_total"}, log: "job_superseded"},
+	evSteal: {from: []at{atQueued, atRetrying, atInterrupted, atStolen}, to: atHandedOff, slot: slotRelease,
+		write: writeHandoff, count: []string{"grr_jobs_stolen_total"}, log: "job_stolen"},
 	evRejournal: {from: []at{atUnjournaled}, to: atHandedOff, write: writeMust,
 		log: "handoff_rejournaled"},
 }
@@ -151,21 +138,9 @@ func (e *edge) leaves(j *Job) bool {
 	return slices.ContainsFunc(e.from, func(a at) bool { return a.holds(j) })
 }
 
-var (
-	// errMoved: the job is no longer where the edge starts — another
-	// transition got there first, or the hedge claim was lost and the
-	// job stepped aside instead. Nothing the caller asked for happened.
-	errMoved = errors.New("server: job moved on")
-	// errUnclaimed: a gated edge could not reach the hedge claim arbiter.
-	errUnclaimed = errors.New("hedge commit claim")
-)
-
-// superseding is the supersede edge's field change: the job steps aside
-// for the winning copy, whose journal is authoritative.
-func superseding(j *Job) {
-	j.marks |= markSuperseded
-	j.Err = ""
-}
+// errMoved: the job is no longer where the edge starts — another
+// transition got there first. Nothing the caller asked for happened.
+var errMoved = errors.New("server: job moved on")
 
 // transition moves j along edge ev and returns the job as published.
 // set, when non-nil, is the edge's field change: it is applied to the
@@ -175,8 +150,8 @@ func superseding(j *Job) {
 // routed count.
 //
 // Under the job's latch the steps run in one order: check (a taking
-// edge takes its slot there), claim when gated, write, publish (a
-// releasing edge returns its slot there), then enqueue, count and log.
+// edge takes its slot there), write, publish (a releasing edge returns
+// its slot there), then enqueue, count and log.
 // An edge that does not start where the job is returns errMoved. A
 // caller with nothing further to do when the edge fails may drop the
 // result: transition has already logged a failed write and applied the
@@ -207,22 +182,6 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 	s.mu.Unlock()
 	defer s.release(j)
 
-	asked := ev
-	if e.claim != claimNone {
-		win, err := s.claimTerminal(j)
-		switch {
-		case err != nil && e.claim == claimGated:
-			return Job{}, fmt.Errorf("%w: %w", errUnclaimed, err)
-		case err != nil:
-			// A failed record can never violate done-in-exactly-one; if a
-			// peer's copy later wins, its journal is authoritative (§14).
-			s.log.Log("job_claim_error", "job", j.ID, "err", err.Error())
-		case !win:
-			ev, set, kv = evSupersede, superseding, []any{"reason", "lost the hedge commit race"}
-			e = &edges[ev]
-		}
-	}
-
 	s.mu.Lock()
 	rec := *j
 	rec.State = e.to.state
@@ -246,8 +205,7 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 			s.mu.Unlock()
 			return Job{}, err
 		case e.write == writeHandoff:
-			// Moving waiting work off a degraded disk is the point of the
-			// steal.
+			// Moving work off a degraded disk is the point of the steal.
 			s.log.Log("job_stolen_unjournaled", "job", j.ID, "err", err.Error())
 			err = nil
 		}
@@ -265,7 +223,11 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 	if set != nil {
 		set(j)
 	}
-	j.marks = j.marks&markSuperseded | e.to.marks
+	if j.State == StateRunning {
+		j.marks = j.marks&markStolen | e.to.marks // a checkpoint keeps the steal's mark
+	} else {
+		j.marks = e.to.marks
+	}
 	if unjournaled {
 		j.marks |= markUnjournaled
 	}
@@ -309,9 +271,6 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 	}
 	if e.log != "" {
 		s.log.Log(e.log, append([]any{"job", out.ID, "attempt", out.Attempt, "routed", out.status().Routed}, kv...)...)
-	}
-	if ev != asked {
-		return out, errMoved // lost the claim and stepped aside
 	}
 	return out, err
 }
@@ -367,12 +326,15 @@ func (s *Server) dequeue() *Job {
 }
 
 // leaving lists the jobs edge ev may start from, sorted by ID.
-func (s *Server) leaving(ev event) []*Job {
+func (s *Server) leaving(ev event) []*Job { return s.jobsAt(edges[ev].from...) }
+
+// jobsAt lists the jobs at any of places, sorted by ID.
+func (s *Server) jobsAt(places ...at) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Job
 	for _, j := range s.jobs {
-		if edges[ev].leaves(j) {
+		if slices.ContainsFunc(places, func(a at) bool { return a.holds(j) }) {
 			out = append(out, j)
 		}
 	}

@@ -109,7 +109,7 @@ func waitDone(t *testing.T, done <-chan struct{}, what string) {
 // checkRecordAgrees: the journal holds the state the server published.
 func checkRecordAgrees(t *testing.T, dir string, s *Server, id string) {
 	t.Helper()
-	rec, err := LoadRecord(dir, id)
+	rec, err := readJobPath(journalPath(dir, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func checkRestartKeepsHandoff(t *testing.T, cfg Config, s *Server, id string) {
 	}
 }
 
-// TestSupersedeDuringRetryWrite: a hedge cancel that lands while the
+// TestSupersedeDuringRetryWrite: a steal by ID that lands while the
 // retrying record is being written must not be overwritten by it.
 func TestSupersedeDuringRetryWrite(t *testing.T) {
 	cfg := testConfig(t)
@@ -165,15 +165,15 @@ func TestSupersedeDuringRetryWrite(t *testing.T) {
 	}
 	p.waitPaused(t)
 	done := racing(func() {
-		if _, err := s.Supersede(st.ID); err != nil {
-			t.Errorf("supersede: %v", err)
+		if rec, _, err := s.StealJob(st.ID); err != nil || rec == nil {
+			t.Errorf("StealJob = %v, %v; want the record", rec, err)
 		}
 	})
 	p.unpause(t)
-	waitDone(t, done, "Supersede")
+	waitDone(t, done, "StealJob")
 
 	if got, _ := s.Status(st.ID); got.State != StateHandedOff {
-		t.Errorf("superseded job is %s, want handed_off", got.State)
+		t.Errorf("stolen job is %s, want handed_off", got.State)
 	}
 	checkRecordAgrees(t, cfg.JournalDir, s, st.ID)
 	checkRestartKeepsHandoff(t, cfg, s, st.ID)
@@ -233,8 +233,8 @@ func TestStealDuringUnparkWrite(t *testing.T) {
 	checkRestartKeepsHandoff(t, cfg, s, st.ID)
 }
 
-// TestSupersedeAfterDrain: a hedge cancel that reaches a drained node
-// hands off the copies the drain interrupted — a running attempt and a
+// TestSupersedeAfterDrain: a steal by ID that reaches a drained node
+// hands off the jobs the drain interrupted — a running attempt and a
 // pending retry — and a restart on the journal does not run them again.
 func TestSupersedeAfterDrain(t *testing.T) {
 	for _, running := range []bool{false, true} {
@@ -279,16 +279,16 @@ func TestSupersedeAfterDrain(t *testing.T) {
 				t.Fatalf("drained job is %s, want interrupted", js.State)
 			}
 
-			superseded := make(chan struct{})
+			stolen := make(chan struct{})
 			go func() {
-				defer close(superseded)
-				if got, err := s.Supersede(st.ID); err != nil || got != StateInterrupted {
-					t.Errorf("Supersede = %s, %v; want interrupted, nil", got, err)
+				defer close(stolen)
+				if rec, _, err := s.StealJob(st.ID); err != nil || rec == nil || rec.State != StateHandedOff {
+					t.Errorf("StealJob = %v, %v; want the handed_off record", rec, err)
 				}
 			}()
-			waitDone(t, superseded, "Supersede")
+			waitDone(t, stolen, "StealJob")
 			if js, _ := s.Status(st.ID); js.State != StateHandedOff {
-				t.Errorf("superseded job is %s, want handed_off", js.State)
+				t.Errorf("stolen job is %s, want handed_off", js.State)
 			}
 			checkRecordAgrees(t, cfg.JournalDir, s, st.ID)
 			s2, err := New(cfg)
@@ -318,8 +318,8 @@ func (a afterCheckpoint) AllowAddSegment(li, ch, lo, hi int, owner layer.ConnID)
 func (afterCheckpoint) AllowPlaceVia(geom.Point, layer.ConnID) bool { return true }
 
 // TestSupersedeAfterCheckpoint: a checkpoint keeps the attempt's cancel,
-// so a hedge cancel that lands after one still aborts the attempt, which
-// steps aside instead of routing on to done.
+// so a steal by ID that lands after one still aborts the attempt, which
+// hands the job off instead of routing on to done.
 func TestSupersedeAfterCheckpoint(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Metrics = obs.NewRegistry()
@@ -339,16 +339,29 @@ func TestSupersedeAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, blk.Fired, "the route never reached a segment after its first checkpoint")
-	if got, err := s.Supersede(st.ID); err != nil || got != StateRunning {
-		t.Fatalf("Supersede = %s, %v; want running, nil", got, err)
-	}
+	var rec *Job
+	stolen := make(chan struct{})
+	go func() {
+		defer close(stolen)
+		var err error
+		if rec, _, err = s.StealJob(st.ID); err != nil {
+			t.Errorf("StealJob: %v", err)
+		}
+	}()
+	// The call waits for the attempt; let the route on only once it is
+	// marked.
+	waitCond(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return atStolen.holds(s.jobs[st.ID])
+	}, "StealJob never marked the running attempt")
 	blk.Release()
-	pollUntil(t, "the attempt to settle", func() bool {
-		js, _ := s.Status(st.ID)
-		return js.State == StateHandedOff || js.State.Terminal()
-	})
+	waitDone(t, stolen, "StealJob")
+	if rec == nil || rec.State != StateHandedOff {
+		t.Fatalf("StealJob returned %+v, want the handed_off record", rec)
+	}
 	if js, _ := s.Status(st.ID); js.State != StateHandedOff {
-		t.Errorf("superseded job ended %s, want handed_off", js.State)
+		t.Errorf("stolen job ended %s, want handed_off", js.State)
 	}
 	checkRecordAgrees(t, cfg.JournalDir, s, st.ID)
 	if n := cfg.Metrics.Counter("grr_jobs_done_total").Value(); n != 0 {
@@ -509,8 +522,7 @@ var oracleEdges = map[string]struct {
 	"job_interrupted":     {[]string{"running", "retrying"}, "interrupted"},
 	"job_parked_disk":     {[]string{"running"}, "parked"},
 	"job_unparked":        {[]string{"parked"}, "queued"},
-	"job_stolen":          {[]string{"queued", "parked"}, "handed_off"},
-	"job_superseded":      {[]string{"queued", "retrying", "interrupted", "parked", "running"}, "handed_off"},
+	"job_stolen":          {[]string{"queued", "retrying", "interrupted", "parked", "running"}, "handed_off"},
 	"handoff_rejournaled": {[]string{"handed_off"}, "handed_off"},
 }
 
@@ -615,8 +627,6 @@ type schedule struct {
 	stolen []*Job   // stolen records waiting to be handed back
 	enospc bool     // the injector is armed
 
-	claimMu   sync.Mutex
-	claims    []string // scripted ClaimCommit answers: "win", "lose", "error"
 	panicNext atomic.Bool
 	blockNext atomic.Pointer[faultinject.Blocker]
 }
@@ -624,19 +634,6 @@ type schedule struct {
 func (sc *schedule) fatalf(format string, args ...any) {
 	sc.t.Helper()
 	sc.t.Fatalf("seed %d: %s", sc.seed, fmt.Sprintf(format, args...))
-}
-
-func (sc *schedule) claim(string, uint64) (bool, error) {
-	sc.claimMu.Lock()
-	defer sc.claimMu.Unlock()
-	answer := "win"
-	if len(sc.claims) > 0 {
-		answer, sc.claims = sc.claims[0], sc.claims[1:]
-	}
-	if answer == "error" {
-		return false, errors.New("scripted claim error")
-	}
-	return answer == "win", nil
 }
 
 func (sc *schedule) boardHook(b *board.Board) {
@@ -729,32 +726,20 @@ func (sc *schedule) step() string {
 			sc.fatalf("adopt of %s: %v", rec.ID, err)
 		}
 		return "adopt"
-	case op < 52:
-		if sc.rng.Intn(2) == 0 {
+	case op < 62:
+		switch sc.rng.Intn(3) {
+		case 0:
+			return sc.stealRunning()
+		case 1:
 			sc.submit(sc.randomSpec())
 		}
 		if len(sc.ids) == 0 {
-			return "supersede (no jobs)"
+			return "steal by ID (no jobs)"
 		}
 		// Favor the newest jobs: they are the ones still waiting or running.
 		id := sc.ids[len(sc.ids)-1-sc.rng.Intn(min(3, len(sc.ids)))]
-		if _, err := s.Supersede(id); err != nil {
-			sc.fatalf("supersede %s: %v", id, err)
-		}
-		return "supersede"
-	case op < 62:
-		answer := [...]string{"win", "lose", "error"}[sc.rng.Intn(3)]
-		sc.claimMu.Lock()
-		sc.claims = append(sc.claims, answer)
-		sc.claimMu.Unlock()
-		id, ok := sc.submit(sc.randomSpec())
-		if !ok {
-			return "arm (refused)"
-		}
-		if _, _, err := s.ArmClaim(id, 1); err != nil {
-			sc.fatalf("arm %s: %v", id, err)
-		}
-		return "arm+" + answer
+		sc.stealByID(id)
+		return "steal by ID"
 	case op < 70:
 		sc.panicNext.Store(true)
 		sc.submit(sc.randomSpec())
@@ -784,6 +769,56 @@ func (sc *schedule) step() string {
 		sc.restart()
 		return "restart"
 	}
+}
+
+// stealByID takes one job away with StealJob; a record it moves waits
+// to be handed back, like a stolen one.
+func (sc *schedule) stealByID(id string) {
+	rec, _, err := sc.s.StealJob(id)
+	if err != nil {
+		sc.fatalf("steal %s: %v", id, err)
+	}
+	if rec != nil {
+		sc.stolen = append(sc.stolen, rec)
+	}
+}
+
+// stealRunning wedges a fresh job mid-route and steals it by ID while
+// its attempt runs: the call marks and cancels the attempt and returns
+// once the attempt has unwound along the steal edge. The server is
+// quiet between steps, so the fresh job is the one the blocker holds.
+func (sc *schedule) stealRunning() string {
+	blk := faultinject.BlockAt(1)
+	sc.blockNext.Store(blk)
+	id, ok := sc.submit(sc.randomSpec())
+	if !ok {
+		sc.blockNext.Store(nil)
+		return "steal running (refused)"
+	}
+	waitCond(sc.t, blk.Fired, "blocker never fired")
+	type stolen struct {
+		rec *Job
+		err error
+	}
+	got := make(chan stolen, 1)
+	go func() {
+		rec, _, err := sc.s.StealJob(id)
+		got <- stolen{rec, err}
+	}()
+	waitCond(sc.t, func() bool {
+		sc.s.mu.Lock()
+		defer sc.s.mu.Unlock()
+		return atStolen.holds(sc.s.jobs[id])
+	}, "StealJob never marked the running attempt")
+	blk.Release()
+	r := <-got
+	if r.err != nil {
+		sc.fatalf("steal running %s: %v", id, r.err)
+	}
+	if r.rec != nil {
+		sc.stolen = append(sc.stolen, r.rec)
+	}
+	return "steal running"
 }
 
 // quiet reports whether the server has settled: nothing queued, running
@@ -864,7 +899,7 @@ func (sc *schedule) journaled(id string) State {
 }
 
 // restart heals the disk, admits a little fresh work, drains, sometimes
-// supersedes a job the drain left waiting, and starts a new server on
+// steals by ID a job the drain left waiting, and starts a new server on
 // the same journal: exactly the jobs live at the end of the drain must
 // be the ones recovered. (Healing first keeps out the
 // residual hazard of DESIGN §13.3 — a handoff the disk refused comes
@@ -880,11 +915,9 @@ func (sc *schedule) restart() {
 		sc.submit(sc.randomSpec())
 	}
 	drainServer(sc.t, sc.s)
-	// A hedge cancel can still reach a drained node.
+	// A steal by ID can still reach a drained node.
 	if waiting := append(sc.jobsIn(StateQueued), sc.jobsIn(StateInterrupted)...); len(waiting) > 0 && sc.rng.Intn(2) == 0 {
-		if _, err := sc.s.Supersede(waiting[sc.rng.Intn(len(waiting))]); err != nil {
-			sc.fatalf("supersede after drain: %v", err)
-		}
+		sc.stealByID(waiting[sc.rng.Intn(len(waiting))])
 	}
 	if err := sc.oracle.replay(sc.log.Bytes()); err != nil {
 		sc.fatalf("drain: %v", err)
@@ -923,8 +956,8 @@ func (sc *schedule) restart() {
 }
 
 // TestLifecycleSchedules runs seeded schedules of lifecycle operations —
-// submit, edit, steal, hand-back, supersede, armed claims with scripted
-// answers, attempt panics, ENOSPC on and off, drain and restart —
+// submit, edit, steal, steal by ID of a waiting or a running job,
+// hand-back, attempt panics, ENOSPC on and off, drain and restart —
 // against a real server, and after each settled step checks the journal,
 // the occupancy report and every job's log history against oracleEdges.
 func TestLifecycleSchedules(t *testing.T) {
@@ -948,8 +981,7 @@ func runSchedule(t *testing.T, seed int64, steps int, specs []JobSpec) {
 	sc.cfg = Config{
 		Workers: 1 + int(seed%2), QueueDepth: 3, JournalDir: t.TempDir(), MaxAttempts: 3,
 		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, RetrySeed: seed,
-		DiskProbeEvery: 5 * time.Millisecond, BoardHook: sc.boardHook, ClaimCommit: sc.claim,
-		Log: obs.NewLogger(sc.log),
+		DiskProbeEvery: 5 * time.Millisecond, BoardHook: sc.boardHook, Log: obs.NewLogger(sc.log),
 	}
 	prev := simfs.Swap(sc.inj)
 	defer simfs.Swap(prev)

@@ -18,10 +18,9 @@ const (
 	causeConflict   = "conflict"
 	causeAudit      = "audit"
 	causeJournal    = "journal"
-	causeHedge      = "hedge"
 )
 
-var retryCauses = [...]string{causePanic, causeCheckpoint, causeConflict, causeAudit, causeJournal, causeHedge}
+var retryCauses = [...]string{causePanic, causeCheckpoint, causeConflict, causeAudit, causeJournal}
 
 // serverObs bundles the daemon's registry handles. It always exists —
 // New backs it with a private registry when Config.Metrics is nil — so
@@ -62,14 +61,11 @@ type serverObs struct {
 	diskTmpCleaned     *obs.Counter
 	journalQuarantined *obs.Counter
 
-	// Tail-latency contract (DESIGN §14): deadline admission/expiry,
-	// queue-wait (the node's own fail-slow signal), and the hedge commit
-	// claim outcomes seen from this node's side of the protocol.
+	// Tail-latency contract (DESIGN §14): deadline admission/expiry and
+	// queue-wait (the node's own fail-slow signal).
 	deadlineRefused  *obs.Counter
 	deadlineExceeded *obs.Counter
 	queueWaitSeconds *obs.Histogram
-	claimWins        *obs.Counter
-	claimLosses      *obs.Counter
 }
 
 func newServerObs(reg *obs.Registry) *serverObs {
@@ -111,8 +107,6 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		deadlineRefused:  reg.Counter("grr_deadline_refused_total"),
 		deadlineExceeded: reg.Counter("grr_deadline_exceeded_total"),
 		queueWaitSeconds: reg.Histogram("grr_queue_wait_seconds", obs.DurationBuckets()),
-		claimWins:        reg.Counter(`grr_hedge_claim_attempts_total{result="win"}`),
-		claimLosses:      reg.Counter(`grr_hedge_claim_attempts_total{result="lose"}`),
 	}
 	for ev, e := range edges {
 		for _, name := range e.count {
@@ -134,15 +128,6 @@ func (o *serverObs) retry(cause string) {
 		c = o.retried[causePanic]
 	}
 	c.Inc()
-}
-
-// claim counts one resolved commit-claim by outcome.
-func (o *serverObs) claim(win bool) {
-	if win {
-		o.claimWins.Inc()
-	} else {
-		o.claimLosses.Inc()
-	}
 }
 
 // gauges publishes the current run-queue and slot occupancy. Callers

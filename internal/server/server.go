@@ -54,6 +54,11 @@ const checkpointEvery = 8
 // constraining real use.
 const MaxDeadlineMs = int64(24 * 60 * 60 * 1000) // 24h
 
+// MaxBodyBytes caps the HTTP request body of a job submission or edit,
+// on grrd and on the fleet coordinator alike: a larger body is refused
+// with 413 before any parsing happens.
+const MaxBodyBytes = 16 << 20
+
 // Config parameterizes a Server. The zero value of every field gets a
 // sensible default from New; only JournalDir is required.
 type Config struct {
@@ -122,17 +127,10 @@ type Config struct {
 	// posture latched until restart). It also derives the Retry-After
 	// header on 507 disk-degraded responses.
 	DiskProbeEvery time.Duration
-	// MaxBodyBytes caps the HTTP request body of job submissions and
-	// edits (default 16 MiB). Oversize requests are refused
-	// with 413 before any parsing happens.
-	MaxBodyBytes int64
-	// ClaimCommit, when set, is the fleet's hedged-execution commit
-	// gate: before journaling a terminal state for a job whose record
-	// carries a hedge token, the node asks the coordinator whether this
-	// copy won the first-durable-result race. false means a peer's copy
-	// won — the local copy flips to handed_off instead of committing.
-	// Nil (standalone, or a fleet without hedging) commits immediately,
-	// byte-identically to the pre-hedging paths.
+	// ClaimCommit is not read: a job has one live copy, so no commit
+	// needs arbitration.
+	//
+	// Deprecated: the benchmark module still sets it; nothing else does.
 	ClaimCommit func(jobID string, token uint64) (win bool, err error)
 }
 
@@ -160,9 +158,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.DiskProbeEvery == 0 {
 		c.DiskProbeEvery = 5 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
 	}
 	if c.JournalDir == "" {
 		return errors.New("server: Config.JournalDir is required")
@@ -314,13 +309,10 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		// The job was admitted before the crash; its slot is part of the
-		// extended capacity. A recovered record carrying a hedge token is
-		// one copy of a hedged job: it must still win the commit claim.
+		// extended capacity.
 		now := time.Now()
-		if _, err := s.transition(j, evRecover, func(j *Job) {
-			j.created = now
-			j.claimRequired = j.HedgeToken != 0
-		}, "prev", string(j.State)); err != nil {
+		if _, err := s.transition(j, evRecover, func(j *Job) { j.created = now },
+			"prev", string(j.State)); err != nil {
 			return nil, err
 		}
 	}
@@ -420,9 +412,13 @@ func (s *Server) admit(j *Job, budget time.Duration, kv ...any) (Status, error) 
 }
 
 // refused maps an admitting edge's failure onto the admission errors.
+// A write the epoch fence refused stays ErrFenced: the node is leaving.
 func (s *Server) refused(err error) error {
-	if errors.Is(err, ErrQueueFull) {
+	switch {
+	case errors.Is(err, ErrQueueFull):
 		s.obs.rejectFull.Inc()
+		return err
+	case errors.Is(err, ErrFenced):
 		return err
 	}
 	s.obs.rejectJournal.Inc()
@@ -599,7 +595,7 @@ func (s *Server) Load() Load {
 // delivery to a peer. Returns nil when nothing is stealable.
 func (s *Server) Steal() (*Job, error) {
 	for {
-		waiting := s.leaving(evSteal)
+		waiting := s.jobsAt(atQueued, atParked)
 		if len(waiting) == 0 {
 			return nil, nil
 		}
@@ -612,6 +608,58 @@ func (s *Server) Steal() (*Job, error) {
 			return nil, fmt.Errorf("journaling steal of %s: %w", victim.ID, err)
 		}
 		return &rec, nil
+	}
+}
+
+// StealJob relinquishes the named job to the fleet along the steal
+// edge, wherever it is in its run, and returns a detached copy of its
+// record, checkpoint included, for delivery to a peer. A waiting job —
+// queued, parked, retrying or interrupted — takes the edge at once. A
+// running attempt is cancelled: the router stops at its next abort
+// check and flushes its final checkpoint, as it does for a drain, and
+// the attempt takes the edge as it unwinds; the call waits for that. A
+// job that settled first moves nothing: the record is nil and the state
+// says where the job is.
+func (s *Server) StealJob(id string) (*Job, State, error) {
+	stopped := false // this call cancelled the job's attempt
+	for {
+		s.mu.Lock()
+		j, ok := s.jobs[id]
+		if !ok {
+			s.mu.Unlock()
+			return nil, "", fmt.Errorf("%w: %s", ErrUnknownJob, id)
+		}
+		for j.busy || atStolen.holds(j) {
+			s.idle.Wait()
+		}
+		if stopped && j.State == StateHandedOff {
+			rec := *j // the unwinding attempt took the steal edge
+			s.mu.Unlock()
+			return &rec, rec.State, nil
+		}
+		st, waiting := j.State, edges[evSteal].leaves(j)
+		if st == StateRunning {
+			j.marks |= markStolen
+			cancel := j.cancelRun // nil until execute installs it; execute then checks the mark
+			s.mu.Unlock()
+			if cancel != nil {
+				cancel()
+			}
+			stopped = true
+			continue
+		}
+		s.mu.Unlock()
+		if !waiting {
+			return nil, st, nil
+		}
+		rec, err := s.transition(j, evSteal, nil)
+		if errors.Is(err, errMoved) {
+			continue // another edge took the job first; look again
+		}
+		if err != nil {
+			return nil, st, fmt.Errorf("journaling steal of %s: %w", id, err)
+		}
+		return &rec, rec.State, nil
 	}
 }
 
@@ -636,12 +684,8 @@ func (s *Server) Adopt(rec *Job) (Status, error) {
 		now := time.Now()
 		out, err := s.transition(j, evAdopt, func(j *Job) {
 			j.Attempt, j.Err, j.Aborted, j.snap = rec.Attempt, rec.Err, rec.Aborted, rec.snap
-			// The deadline and hedge token travel with the record: the budget
-			// is end-to-end and a hedge copy must claim its commit wherever
-			// it runs.
-			j.Deadline, j.HedgeToken, j.claimRequired = rec.Deadline, rec.HedgeToken, rec.HedgeToken != 0
-			j.marks &^= markSuperseded
-			j.committing, j.created = false, now
+			// The deadline travels with the record: the budget is end-to-end.
+			j.Deadline, j.created = rec.Deadline, now
 		})
 		if errors.Is(err, errMoved) {
 			continue // a concurrent handoff of this ID settled first; look again
@@ -705,12 +749,9 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	attempt := j.Attempt + 1
 	s.mu.Unlock()
-	run, err := s.transition(j, evStart, func(j *Job) {
-		j.Attempt = attempt
-		j.committing = false // a fresh attempt begins; no terminal commit in flight
-	})
+	run, err := s.transition(j, evStart, func(j *Job) { j.Attempt = attempt })
 	if errors.Is(err, errMoved) {
-		return // stolen or superseded between dequeue and start
+		return // stolen between dequeue and start
 	}
 	waited := time.Since(run.enqueuedAt)
 	s.queueWait.Observe(waited.Seconds() * 1000)
@@ -776,9 +817,9 @@ func (s *Server) execute(j *Job, started Job) (out outcome) {
 
 	snap, deadline := started.snap, started.Deadline
 	// Per-attempt context: the drain context, narrowed by the job's
-	// deadline when it has one, and cancellable by Supersede when a
-	// hedge peer's result wins the commit race. core.RouteContext merges
-	// the context deadline into the abort machinery — sooner wins.
+	// deadline when it has one, and cancellable by StealJob when the
+	// fleet moves the job. core.RouteContext merges the context deadline
+	// into the abort machinery — sooner wins.
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if deadline.IsZero() {
@@ -789,7 +830,11 @@ func (s *Server) execute(j *Job, started Job) (out outcome) {
 	defer cancel()
 	s.mu.Lock()
 	j.cancelRun = cancel // dropped when the job leaves running
+	stolen := atStolen.holds(j)
 	s.mu.Unlock()
+	if stolen {
+		cancel() // StealJob came before the cancel existed
+	}
 
 	// Run from a shallow copy: the sink, cadence and registry are
 	// runtime-only and must not leak into the journaled snapshot.
@@ -869,26 +914,22 @@ func (s *Server) settle(j *Job, attempt int, out outcome) {
 		check := *final.Check
 		check.Metrics = m
 		final.Check = &check
-		_, err := s.transition(j, evDone, func(j *Job) {
+		s.transition(j, evDone, func(j *Job) {
 			j.snap = &final
 			j.Err, j.Aborted = "", ""
 			j.Fingerprint, j.AuditOK, j.Metrics = out.fingerprint, true, &m
 		}, "conns", m.Connections, "fingerprint", fmt.Sprintf("%016x", out.fingerprint))
-		switch {
-		case errors.Is(err, errUnclaimed):
-			s.retryOrFail(j, attempt, err, causeHedge)
-			return
-		case errors.Is(err, errMoved):
-			return // lost the hedge commit race and stepped aside
-		}
 
 	case out.interrupted:
-		// A copy the coordinator cancelled because a hedge peer's result
-		// won steps aside: the winner's journal is the authoritative
-		// record. Any other cancel is a drain, and the job keeps its slot.
-		_, err := s.transition(j, evSupersede, superseding, "reason", "cancelled: a hedge peer's result won")
-		if errors.Is(err, errMoved) {
+		// An attempt StealJob cancelled hands the job to the fleet. Any
+		// other cancel is a drain, and the job keeps its slot.
+		_, err := s.transition(j, evSteal, nil)
+		switch {
+		case errors.Is(err, errMoved):
 			s.transition(j, evInterrupt, func(j *Job) { j.Aborted = core.AbortCancelled.String() })
+		case err != nil:
+			// The handoff record could not be written: the job stays here.
+			s.retryOrFail(j, attempt, err, causeJournal)
 		}
 
 	case out.transient != nil:
