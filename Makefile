@@ -10,9 +10,9 @@
 # (internal/core's context-cancel flag, internal/experiment's
 # Table1Parallel, all of internal/server, whose workers, retry timers,
 # disk probe and API calls meet in the job lifecycle, and the short
-# tests of internal/fleet, whose sweep, moves and handlers meet in the
-# coordinator's job table), and `make race` is the full-suite version
-# for local soaks.
+# tests of internal/fleet, whose sweep, handlers and the steps of jobs
+# in transit meet in the coordinator's tables), and `make race` is the
+# full-suite version for local soaks.
 
 GO ?= go
 
@@ -69,11 +69,14 @@ bench-smoke:
 # coordinator in one process, scripted partitions, a heartbeat-muted
 # zombie and a full node kill, with every job required to finish
 # bit-identical to its oracle and committed done in exactly one journal
-# fleet-wide. CI runs this as its own job; the kill/handoff acceptance
-# test rides along because it exercises the same failover machinery
-# through the real grrd binary.
+# fleet-wide. The broker steals by name — the job a loaded node names
+# when asked — so the work-stealing tests ride along, among them steals
+# whose answer is lost and one whose thief is fenced before its answer
+# arrives. CI runs this as its own job; the
+# kill/handoff acceptance test rides along because it exercises the
+# same failover machinery through the real grrd binary.
 soak-fleet:
-	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetChaosSoak'
+	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetChaosSoak|TestWorkStealingRebalances|TestStealAfterLostAnswer'
 	$(GO) test -race -count=1 ./cmd/grrd/ -run 'TestFleet'
 
 # The fail-slow soak under the race detector: four workers, one of

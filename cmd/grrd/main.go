@@ -12,10 +12,12 @@
 //
 // With -coordinator the process serves the fleet front door instead of
 // routing jobs itself (internal/fleet): workers join it with -join and
-// -node-name, heartbeat their load, and get fenced and failed over if
-// they go quiet; with -move-after, a job that outruns the fleet is
-// stolen from its node and resumed on a healthy peer. Clients submit to
-// the coordinator exactly as they would to a single grrd.
+// -node-name, heartbeat their load (naming the job a steal would take),
+// and get fenced and failed over if they go quiet; an idle worker gets
+// the job a loaded one names, and with -move-after, a job that outruns
+// the fleet is stolen from its node and resumed on a healthy peer.
+// Clients submit to the coordinator exactly as they would to a single
+// grrd.
 //
 // Endpoints of a worker daemon (server.Server.Handler):
 //
@@ -28,9 +30,10 @@
 //	GET  /healthz   liveness
 //	GET  /readyz    readiness (503 naming the posture: saturated,
 //	                draining, fenced or disk_degraded)
-//	GET  /load      the occupancy report heartbeats carry
-//	POST /fleet/steal       give up one queued job to a peer
-//	POST /fleet/steal/{id}  give up the named job, stopping its attempt
+//	GET  /load      the occupancy report heartbeats carry; the steal
+//	                broker reads its "steal" field afresh
+//	POST /fleet/steal/{id}  give up the named job to the coordinator,
+//	                        stopping its attempt if it runs
 //	POST /fleet/handoff     adopt a peer's journal record
 //	GET  /metrics   Prometheus text exposition (queue, jobs, retries,
 //	                journal, router search effort and phase timings)

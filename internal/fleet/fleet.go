@@ -12,10 +12,12 @@
 //     again — and its live jobs are recovered from the journal and
 //     resumed on peers, bit-identically, from their last durable
 //     checkpoint;
-//   - an idle node pulls queued work from the most-loaded peer through
-//     the coordinator (work stealing), keeping the fleet busy without
-//     the workers knowing about each other, and a straggler is stolen
-//     from its node and resumed on a healthy peer (DESIGN §14);
+//   - an idle node takes the waiting job the most-loaded peer names,
+//     through the coordinator (work stealing), keeping the fleet busy
+//     without the workers knowing about each other, and a straggler is
+//     stolen from its node and resumed on a healthy peer (DESIGN §14);
+//     every such job is in transit, one entry per job, until a node
+//     takes it (transit.go);
 //   - a submission passes grrd's own request checks (server.DecodeSpec,
 //     server.ValidateDeadline) before it is placed, and a node's 400
 //     ends the walk, so a client gets the status a standalone grrd
@@ -36,9 +38,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"sort"
 	"sync"
@@ -165,43 +167,39 @@ type Coordinator struct {
 	// RetryMax and the fixed seed retrySeed).
 	backoff *server.Backoff
 
-	mu      sync.Mutex
-	nodes   map[string]*node
-	jobs    map[string]*jobEntry
-	pending []*server.Job // recovered/stolen records awaiting a home, in arrival order
-	// doubt holds the pending records whose last offer went unanswered:
-	// the node offered may hold the job (§12.3).
-	doubt map[*server.Job]lostOffer
-	// moves holds the straggler moves in progress, by job ID (§14).
-	moves map[string]*move
+	mu    sync.Mutex
+	nodes map[string]*node
+	jobs  map[string]*jobEntry
+	// transits holds the jobs on their way between nodes, one entry per
+	// job ID (transit.go, §12.3).
+	transits map[string]*transit
 	// lastMove is the node the latest move delivered a job to.
 	lastMove string
 	// window holds recent job completion latencies (seconds); its p95
 	// sets the move delay once enough samples exist.
 	window *obs.Window
 
-	// ctx ends with Close; it bounds the sweep loop, the moves and the
-	// coordinator's own calls to nodes.
+	// ctx ends with Close; it bounds the sweep loop, the steps of jobs in
+	// transit and the coordinator's own calls to nodes.
 	ctx    context.Context
 	cancel context.CancelFunc
 	stopWg sync.WaitGroup
 }
 
 // New builds a Coordinator and starts its sweep loop (failure
-// detection, handoff delivery, work stealing). Close stops it.
+// detection, work stealing, moves, jobs in transit). Close stops it.
 func New(cfg Config) *Coordinator {
 	cfg.setDefaults()
 	c := &Coordinator{
-		cfg:     cfg,
-		client:  &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second},
-		obs:     newFleetObs(cfg.Metrics),
-		log:     cfg.Log,
-		backoff: server.NewBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
-		nodes:   make(map[string]*node),
-		jobs:    make(map[string]*jobEntry),
-		doubt:   make(map[*server.Job]lostOffer),
-		moves:   make(map[string]*move),
-		window:  obs.NewWindow(256),
+		cfg:      cfg,
+		client:   &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second},
+		obs:      newFleetObs(cfg.Metrics),
+		log:      cfg.Log,
+		backoff:  server.NewBackoff(cfg.RetryBase, cfg.RetryMax, retrySeed),
+		nodes:    make(map[string]*node),
+		jobs:     make(map[string]*jobEntry),
+		transits: make(map[string]*transit),
+		window:   obs.NewWindow(256),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.stopWg.Add(1)
@@ -209,7 +207,7 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Close stops the sweep loop and the moves in progress. In-flight HTTP
+// Close stops the sweep loop and the steps in progress. In-flight HTTP
 // handlers finish on their own; the coordinator serves until its
 // listener closes.
 func (c *Coordinator) Close() {
@@ -280,8 +278,8 @@ func (c *Coordinator) Nodes() []node {
 }
 
 // sweepLoop is the coordinator's heartbeat: every HeartbeatEvery it
-// checks deadlines, fences the dead, delivers pending handoffs, and
-// brokers one work-steal.
+// checks deadlines, fences the dead, advances every job in transit,
+// brokers one work-steal and starts moves.
 func (c *Coordinator) sweepLoop() {
 	defer c.stopWg.Done()
 	t := time.NewTicker(c.cfg.HeartbeatEvery)
@@ -316,7 +314,13 @@ func (c *Coordinator) sweep() {
 		c.fence(n)
 	}
 	c.updateSlow()
-	c.deliverPending()
+	c.mu.Lock()
+	for id, t := range c.transits {
+		if !t.busy {
+			c.startLocked(id, t)
+		}
+	}
+	c.mu.Unlock()
 	c.stealOnce()
 	c.moveSweep()
 }
@@ -324,8 +328,9 @@ func (c *Coordinator) sweep() {
 // fence finalizes a dead node: bump its journal epoch with the fenced
 // marker (from this instant every journal write the zombie attempts is
 // refused — it cannot double-commit), then recover its jobs from the
-// journal: terminal records become servable results, live records go
-// to the pending-handoff list for resumption on a peer.
+// journal: terminal records become servable results, and each live
+// record of a job not already in transit puts the job in transit, for
+// resumption on a peer.
 func (c *Coordinator) fence(n *node) {
 	c.obs.fenced.Inc()
 	epoch, err := server.FenceJournal(n.Journal)
@@ -345,138 +350,44 @@ func (c *Coordinator) fence(n *node) {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, rec := range recs {
-		if rec.State.Live() {
-			c.pending = append(c.pending, rec)
-			c.obs.recoveredJobs.Inc()
-			c.log.Log("fleet_job_recovered", "job", rec.ID, "from", n.Name,
-				"state", string(rec.State), "attempt", rec.Attempt)
-			continue
-		}
-		if rec.State.Terminal() {
+		switch {
+		case rec.State.Live() && c.transits[rec.ID] == nil:
+			// Its first step reads the record, as for every job in transit
+			// whose node is gone.
+			c.transits[rec.ID] = &transit{from: n}
+		case rec.State.Terminal():
 			// The node is gone but its answers are not: serve them from here.
-			c.noteTerminalLocked(rec.ID, rec.Status())
+			st := rec.Status()
+			c.entryLocked(rec.ID).result = &st
 		}
 	}
-	c.obs.pendingGauge.Set(int64(len(c.pending)))
-	c.mu.Unlock()
-}
-
-// deliverPending tries to re-home every recovered/stolen record. A
-// record that finds no taker stays pending for the next sweep — jobs
-// are never dropped, they wait for capacity.
-func (c *Coordinator) deliverPending() {
-	c.mu.Lock()
-	pending := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-
-	for _, rec := range pending {
-		names, drop := c.homesFor(rec)
-		if drop {
-			continue
-		}
-		target, err := c.offer(rec, names)
-		c.mu.Lock()
-		if err != nil {
-			c.parkLocked(rec, target, err)
-		} else {
-			delete(c.doubt, rec)
-		}
-		c.mu.Unlock()
-		if err != nil {
-			c.log.Log("fleet_handoff_wait", "job", rec.ID, "err", err.Error())
-			continue
-		}
-		c.moveJob(rec.ID, target, rec.Deadline, time.Time{})
-		c.obs.handoffs.Inc()
-		c.log.Log("fleet_handoff", "job", rec.ID, "to", target, "attempt", rec.Attempt)
-	}
-	c.mu.Lock()
-	c.obs.pendingGauge.Set(int64(len(c.pending)))
-	c.mu.Unlock()
-}
-
-// lostOffer is an offer of a pending record whose answer was lost: the
-// node it went to, and that node's journal dir at the time.
-type lostOffer struct{ node, journal string }
-
-// homesFor lists the nodes a pending record may be offered to, best
-// first, or reports that the record is no longer needed. A record in
-// doubt goes only to the node its lost offer went to, while that node
-// lives: its 202 or 409 settles the doubt, and a refusal settles
-// nothing (a draining node refuses before it looks for the job). Once
-// that node is fenced, its journal settles it: a record there that is
-// not handed_off is the job — fence has recovered it — so this copy
-// goes; with none, the node never adopted it and any candidate may.
-func (c *Coordinator) homesFor(rec *server.Job) (names []string, drop bool) {
-	c.mu.Lock()
-	o, inDoubt := c.doubt[rec]
-	offered := inDoubt && c.nodes[o.node].alive() && c.nodes[o.node].Journal == o.journal
-	c.mu.Unlock()
-	if offered {
-		return []string{o.node}, false
-	}
-	if inDoubt {
-		held, err := server.LoadRecord(o.journal, rec.ID)
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, false // unreadable for now: still in doubt
-		}
-		c.mu.Lock()
-		delete(c.doubt, rec)
-		c.mu.Unlock()
-		if err == nil && held.State != server.StateHandedOff {
-			return nil, true
-		}
-	}
-	for _, n := range c.candidates() {
-		names = append(names, n.Name)
-	}
-	return names, false
-}
-
-// parkLocked puts rec on the pending list after offer failed with err;
-// an offer to node name whose answer was lost leaves rec in doubt there.
-// Callers hold mu.
-func (c *Coordinator) parkLocked(rec *server.Job, name string, err error) {
-	c.pending = append(c.pending, rec)
-	if errors.Is(err, errUnanswered) {
-		c.doubt[rec] = lostOffer{node: name, journal: c.nodes[name].Journal}
-	}
-	c.obs.pendingGauge.Set(int64(len(c.pending)))
 }
 
 // stealOnce brokers at most one steal per sweep: the idlest ready node
-// pulls one queued job from the most-loaded peer. One per sweep keeps
-// rebalancing gentle — a persistent imbalance drains over a few
-// sweeps; a transient one often resolves itself first.
+// takes the job the most-loaded peer names. One per sweep keeps
+// rebalancing gentle — a persistent imbalance drains over a few sweeps;
+// a transient one often resolves itself first. The heartbeats pick the
+// donor and the thief; the donor then names its job afresh (GET /load),
+// since a heartbeat's name is up to a beat old, and a short job is done
+// by then.
 func (c *Coordinator) stealOnce() {
 	diskDegraded := func(n *node) bool { return n.Load.Disk == "degraded" }
 	c.mu.Lock()
-	moving := make(map[string]bool, len(c.moves)+len(c.doubt))
-	for _, m := range c.moves {
-		moving[m.donor] = true
-	}
-	for _, o := range c.doubt {
-		moving[o.node] = true
-	}
 	var donor, thief *node
 	for _, n := range c.nodes {
 		if !n.alive() {
 			continue
 		}
-		// Donors: anything with queued work that is not leaving. Saturated
-		// nodes are prime donors (that is what the /readyz split is for);
-		// draining and fenced nodes are drain-only — their queue is the
-		// failover path's business, not the stealer's. A disk-degraded
-		// donor outranks every healthy one: its queue cannot run locally
-		// until the disk heals, so moving it is never premature. A node a
-		// move is taking a job from waits until the move settles: a move
-		// that asks again counts a job handed off there as its own steal's
-		// (takeBack). So does a node a record is in doubt on: it may hold
-		// that job, and the record's next offer there would re-adopt a
-		// job it had handed off.
-		if n.Load.Queued > 0 && n.Load.Health != server.HealthDraining && !moving[n.Name] &&
+		// Donors: anything with a waiting job not in transit that is not
+		// leaving. Saturated nodes are prime donors (that is what the
+		// /readyz split is for); draining and fenced nodes are drain-only —
+		// their queue is the failover path's business, not the stealer's.
+		// A disk-degraded donor outranks every healthy one: its queue
+		// cannot run locally until the disk heals, so moving it is never
+		// premature.
+		if n.Load.Steal != "" && c.transits[n.Load.Steal] == nil && n.Load.Health != server.HealthDraining &&
 			(donor == nil ||
 				(diskDegraded(n) && !diskDegraded(donor)) ||
 				(diskDegraded(n) == diskDegraded(donor) && n.Load.Queued > donor.Load.Queued)) {
@@ -488,57 +399,38 @@ func (c *Coordinator) stealOnce() {
 			thief = n
 		}
 	}
-	if donor == nil || thief == nil || donor == thief {
+	if donor == nil || thief == nil || donor == thief ||
+		!diskDegraded(donor) && thief.Load.Live >= donor.Load.Queued+donor.Load.Live-1 {
+		// No pair, or no imbalance worth moving a checkpoint over the
+		// network for. (Unless the donor's disk is down — then its queued
+		// jobs run nowhere at all, and any thief with a free slot beats
+		// that.)
 		c.mu.Unlock()
 		return
 	}
-	if !diskDegraded(donor) &&
-		thief.Load.Live >= donor.Load.Queued+donor.Load.Live-1 {
-		// No imbalance worth moving a checkpoint over the network for.
-		// (Unless the donor's disk is down — then its queued jobs run
-		// nowhere at all, and any thief with a free slot beats that.)
-		c.mu.Unlock()
-		return
-	}
-	donorName, donorAddr, thiefName := donor.Name, donor.Addr, thief.Name
 	c.mu.Unlock()
 
-	rec, _, err := c.stealFrom(donorAddr, "")
-	if err != nil {
-		c.log.Log("fleet_steal_error", "from", donorName, "err", err.Error())
-		return
-	}
-	if rec == nil {
-		return // queue emptied itself between heartbeat and steal
-	}
-	if c.deliver(rec, donorName, []string{thiefName}) == thiefName {
-		c.obs.steals.Inc()
-		c.log.Log("fleet_steal", "job", rec.ID, "from", donorName, "to", thiefName)
-	}
-}
-
-// deliver hands a record stolen from donor to the first of targets that
-// adopts it. When none does, the record goes back to the donor, and if
-// even that fails it waits on the pending list — it is journaled as
-// handed_off on the donor, so nothing is lost either way. It returns
-// the node that took the record, "" when it went pending.
-func (c *Coordinator) deliver(rec *server.Job, donor string, targets []string) string {
-	name, err := c.offer(rec, append(targets, donor))
+	var l server.Load
+	resp, err := c.request(http.MethodGet, donor.Addr+"/load", "", nil)
 	if err == nil {
-		c.moveJob(rec.ID, name, rec.Deadline, time.Time{})
-		return name
+		err = json.NewDecoder(resp.Body).Decode(&l)
+		resp.Body.Close()
 	}
 	c.mu.Lock()
-	c.parkLocked(rec, name, err)
-	c.mu.Unlock()
-	return ""
+	defer c.mu.Unlock()
+	switch {
+	case err != nil:
+		c.log.Log("fleet_steal_error", "node", donor.Name, "err", err.Error())
+	case l.Steal != "" && c.transits[l.Steal] == nil:
+		c.startLocked(l.Steal, &transit{from: donor, thief: thief.Name})
+	}
 }
 
 // moveJob records that node now holds job id, creating the job's entry
 // on first sight, and counts the job among those delivered to node
-// since its last heartbeat. Placement, steal, move and pending delivery
-// all record here; placement alone passes the time it placed the job,
-// which starts the move clock.
+// since its last heartbeat. Placement and every delivery of a job in
+// transit record here; placement alone passes the time it placed the
+// job, which starts the move clock.
 func (c *Coordinator) moveJob(id, nodeName string, deadline, placed time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

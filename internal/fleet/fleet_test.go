@@ -3,11 +3,13 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,6 +266,170 @@ func TestWorkStealingRebalances(t *testing.T) {
 	}
 	if st, ok := idle.srv.Status(queued.ID); !ok || st.State != server.StateDone {
 		t.Errorf("thief copy = %+v, want done", st)
+	}
+}
+
+// replyHook is a test transport: each request goes through, and hook,
+// called before its reply reaches the coordinator, may hold the reply or
+// lose it (a non-nil error).
+type replyHook func(*http.Request) error
+
+func (hook replyHook) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		if err = hook(req); err != nil {
+			resp.Body.Close()
+			resp = nil
+		}
+	}
+	return resp, err
+}
+
+// startWedged starts node "busy" with one worker, wedged on its first
+// job with a second queued behind it, and returns the node, its journal
+// dir and the queued job. The test releases the wedge with blk.
+func startWedged(t *testing.T, coordURL string, spec server.JobSpec, blk *faultinject.Blocker,
+	drop func() bool) (*fleetNode, string, server.Status) {
+	t.Helper()
+	var first atomic.Bool
+	journal := t.TempDir()
+	busy := startNode(t, "busy", coordURL, server.Config{
+		QueueDepth: 4, JournalDir: journal,
+		BoardHook: func(b *board.Board) {
+			if first.CompareAndSwap(false, true) {
+				b.Interpose(blk)
+			}
+		},
+	}, nil, drop)
+	if _, err := busy.srv.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, blk.Fired, "blocker never fired")
+	queued, err := busy.srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return busy, journal, queued
+}
+
+// doneIn counts the journals that hold job id done.
+func doneIn(journals []string, id string) int {
+	n := 0
+	for _, dir := range journals {
+		if rec, err := server.LoadRecord(dir, id); err == nil && rec.State == server.StateDone {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStealAfterLostAnswer: a broker steal meets a lost or late answer
+// on one of its two legs, and the job still finishes with the oracle
+// fingerprint, done in exactly one journal.
+//   - The steal's answer is lost: the donor has journaled the job
+//     handed_off, and the coordinator holds no record. It asks again once
+//     the donor answers, or reads the donor's journal once the donor is
+//     fenced, and the job runs on the thief; the steal counts once.
+//   - The handoff's answer comes only after the thief, which took the
+//     job, is fenced. The thief's fence finds the job live in its journal
+//     but in transit, and leaves it to the steal. The steal, answered at
+//     last, holds the record in doubt on the thief and reads the thief's
+//     journal: the job resumes on its donor, though the thief, a zombie,
+//     still holds its copy.
+func TestStealAfterLostAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		leg    string // the leg whose answer is lost or late
+		fence  string // the node fenced, "" to let the answers through
+		steals int64
+	}{
+		{"steal answer lost, the donor answers again", "steal", "", 1},
+		{"steal answer lost, the donor is fenced", "steal", "busy", 1},
+		{"handoff answer after the thief is fenced", "handoff", "idle", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			part := faultinject.NewPartition()
+			late := make(chan struct{}) // closed to end the fault
+			heal := sync.OnceFunc(func() { close(late) })
+			c := New(Config{
+				HeartbeatEvery: 25 * time.Millisecond,
+				HeartbeatMiss:  40,
+				Transport: replyHook(func(req *http.Request) error {
+					switch {
+					case tc.leg == "steal" && strings.HasPrefix(req.URL.Path, "/fleet/steal"):
+						select {
+						case <-late:
+						default:
+							return errors.New("steal reply lost")
+						}
+					case tc.leg == "handoff" && req.URL.Path == "/fleet/handoff":
+						<-late
+					}
+					return nil
+				}),
+			})
+			ts := httptest.NewServer(c.Handler())
+			defer func() {
+				heal()
+				ts.Close()
+				c.Close()
+			}()
+			spec := buildSpec(t, 7)
+			want := oracleFP(t, spec)
+
+			blk := faultinject.BlockAt(1)
+			t.Cleanup(blk.Release)
+			busy, journal, queued := startWedged(t, ts.URL, spec, blk,
+				func() bool { return part.HeartbeatDropped("busy") })
+			journals := []string{journal, t.TempDir()}
+			cfg := server.Config{QueueDepth: 4, JournalDir: journals[1]}
+			if tc.leg == "handoff" {
+				// The thief wedges too, so the job is still live in its journal
+				// when it is fenced.
+				tblk := faultinject.BlockAt(1)
+				t.Cleanup(tblk.Release)
+				cfg.BoardHook = func(b *board.Board) { b.Interpose(tblk) }
+			}
+			idle := startNode(t, "idle", ts.URL, cfg, nil, func() bool { return part.HeartbeatDropped("idle") })
+			if tc.leg == "steal" {
+				waitFor(t, 10*time.Second, func() bool {
+					c.mu.Lock()
+					defer c.mu.Unlock()
+					tr, ok := c.transits[queued.ID]
+					return ok && !tr.busy && tr.rec == nil
+				}, "no steal answer was lost")
+			} else {
+				waitFor(t, 10*time.Second, func() bool {
+					st, _ := idle.srv.Status(queued.ID)
+					return st.State == server.StateRunning
+				}, "the thief never ran the job")
+			}
+			if st, _ := busy.srv.Status(queued.ID); st.State != server.StateHandedOff {
+				t.Fatalf("donor copy = %+v: the steal did not land", st)
+			}
+			if tc.fence != "" {
+				part.MuteHeartbeats(tc.fence)
+				waitFor(t, 10*time.Second, func() bool {
+					return slices.ContainsFunc(c.Nodes(), func(n NodeView) bool { return n.Name == tc.fence && n.Fenced })
+				}, tc.fence+" was never fenced")
+				// The sweep that fenced it reads its journal before it sweeps
+				// again; let it.
+				time.Sleep(10 * c.cfg.HeartbeatEvery)
+			}
+			heal()
+			blk.Release()
+
+			fin := waitJobDone(t, ts.URL, queued.ID, 30*time.Second)
+			if fin.State != server.StateDone || fin.Fingerprint != want {
+				t.Fatalf("stolen job = %+v, want done @ %s", fin, want)
+			}
+			if n := c.obs.steals.Value(); n != tc.steals {
+				t.Errorf("grr_fleet_steals_total = %d, want %d", n, tc.steals)
+			}
+			if n := doneIn(journals, queued.ID); n != 1 {
+				t.Errorf("the job is done in %d journals, want 1", n)
+			}
+		})
 	}
 }
 

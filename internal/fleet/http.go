@@ -25,7 +25,7 @@ import (
 //	                the node's error text), or shed with 429 +
 //	                Retry-After when no node can take it
 //	GET  /jobs      fleet-wide job list (proxied node views merged with
-//	                the coordinator's own results and pending handoffs)
+//	                the coordinator's own results and jobs in transit)
 //	GET  /jobs/{id} one job, proxied to the node that holds it;
 //	                terminal results are served from the coordinator
 //	                even after the node that computed them is gone
@@ -266,8 +266,8 @@ func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 }
 
 // handleStatus serves one job's status: the coordinator's own result
-// first (it outlives its node), then a pending-handoff synthesis, then
-// a proxy to the node that holds the job.
+// first (it outlives its node), then the record of a job in transit,
+// then a proxy to the node that holds the job.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c.mu.Lock()
@@ -278,15 +278,13 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
-	for _, rec := range c.pending {
-		if rec.ID == id {
-			st := rec.Status()
-			c.mu.Unlock()
-			// In the coordinator's hands between owners: report it as the
-			// journal last saw it. It will be queued on a peer shortly.
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
+	if t := c.transits[id]; t != nil && t.rec != nil {
+		st := t.rec.Status()
+		c.mu.Unlock()
+		// In the coordinator's hands between owners: report it as the
+		// journal last saw it. It will be queued on a peer shortly.
+		writeJSON(w, http.StatusOK, st)
+		return
 	}
 	var addr string
 	if ok {
@@ -332,9 +330,9 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleList merges every alive node's job list with the
-// coordinator's own results and pending records. A node's live view
-// wins over the coordinator's stale copy; results of dead nodes appear
-// only here.
+// coordinator's own results and the records of jobs in transit. A
+// node's live view wins over the coordinator's stale copy; results of
+// dead nodes appear only here.
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	var copies []server.Status
 	c.mu.Lock()
@@ -343,8 +341,10 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 			copies = append(copies, *e.result)
 		}
 	}
-	for _, rec := range c.pending {
-		copies = append(copies, rec.Status())
+	for _, t := range c.transits {
+		if t.rec != nil {
+			copies = append(copies, t.rec.Status())
+		}
 	}
 	var addrs []string
 	for _, n := range c.nodes {
@@ -390,16 +390,11 @@ func mergeJobs(copies []server.Status) []server.Status {
 	return out
 }
 
-// stealFrom asks one node to relinquish a job: the one named by id, or
-// with id "" its newest waiting one. The record is nil when nothing
-// moved: nothing was waiting, or the named job had already finished or
-// been handed off, and then the state says which.
+// stealFrom asks the node at addr to give job id up. The record is nil
+// when nothing moved: the job had already finished or been handed off,
+// and then the state says which.
 func (c *Coordinator) stealFrom(addr, id string) (*server.Job, server.State, error) {
-	url := addr + "/fleet/steal"
-	if id != "" {
-		url += "/" + id
-	}
-	resp, err := c.post(url, "", nil)
+	resp, err := c.request(http.MethodPost, addr+"/fleet/steal/"+id, "", nil)
 	if err != nil {
 		return nil, "", err
 	}
@@ -408,8 +403,6 @@ func (c *Coordinator) stealFrom(addr, id string) (*server.Job, server.State, err
 	case http.StatusOK:
 		rec, err := server.DecodeRecord(resp.Body)
 		return rec, "", err
-	case http.StatusNoContent:
-		return nil, "", nil
 	case http.StatusConflict:
 		var settled struct {
 			State server.State `json:"state"`
@@ -422,50 +415,40 @@ func (c *Coordinator) stealFrom(addr, id string) (*server.Job, server.State, err
 	}
 }
 
-// offer hands rec to the first of names that adopts it and returns that
+// offer hands rec to the first of homes that adopts it and returns that
 // node. An offer whose answer is lost ends the walk with errUnanswered
-// and that node's name: it may have adopted the record, so no other
-// node may be offered it until that one settles the doubt (homesFor).
-func (c *Coordinator) offer(rec *server.Job, names []string) (string, error) {
+// and that node: it may have adopted the record, so no other node may be
+// offered it until that one settles the doubt (homes).
+func (c *Coordinator) offer(rec *server.Job, homes []*node) (*node, error) {
 	err := fmt.Errorf("fleet: no schedulable node for %s", rec.ID)
-	for _, name := range names {
-		if err = c.handoffTo(name, rec); err == nil || errors.Is(err, errUnanswered) {
-			return name, err
+	for _, n := range homes {
+		if err = c.handoffTo(n, rec); err == nil || errors.Is(err, errUnanswered) {
+			return n, err
 		}
 	}
-	return "", err
+	return nil, err
 }
 
 // errUnanswered marks a handoff whose request may have reached the node
 // though no answer came back.
 var errUnanswered = errors.New("fleet: handoff unanswered")
 
-// handoffTo delivers a record to one named node. A 409 duplicate
-// counts as success: the node already owns a live copy — exactly the
-// state handoff was trying to reach. A transport error past the dial
-// is errUnanswered: the node may have adopted the record.
-func (c *Coordinator) handoffTo(nodeName string, rec *server.Job) error {
-	c.mu.Lock()
-	n, ok := c.nodes[nodeName]
-	var addr string
-	if ok {
-		addr = n.Addr
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: unknown node %s", nodeName)
-	}
+// handoffTo delivers a record to node n. A 409 duplicate counts as
+// success: the node already owns a live copy — exactly the state
+// handoff was trying to reach. A transport error past the dial is
+// errUnanswered: the node may have adopted the record.
+func (c *Coordinator) handoffTo(n *node, rec *server.Job) error {
 	var buf bytes.Buffer
 	if err := rec.EncodeRecord(&buf); err != nil {
 		return fmt.Errorf("fleet: encoding %s: %w", rec.ID, err)
 	}
-	resp, err := c.post(addr+"/fleet/handoff", "application/x-grrdjob", &buf)
+	resp, err := c.request(http.MethodPost, n.Addr+"/fleet/handoff", "application/x-grrdjob", &buf)
 	var dial *net.OpError
 	switch {
 	case err != nil && errors.As(err, &dial) && dial.Op == "dial":
 		return err // the request never left
 	case err != nil:
-		return fmt.Errorf("%w by %s: %v", errUnanswered, nodeName, err)
+		return fmt.Errorf("%w by %s: %v", errUnanswered, n.Name, err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
@@ -474,13 +457,13 @@ func (c *Coordinator) handoffTo(nodeName string, rec *server.Job) error {
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("fleet: handoff of %s to %s: %d %s",
-			rec.ID, nodeName, resp.StatusCode, bytes.TrimSpace(b))
+			rec.ID, n.Name, resp.StatusCode, bytes.TrimSpace(b))
 	}
 }
 
-// post is the coordinator's own POST to a node, ended by Close.
-func (c *Coordinator) post(url, contentType string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, url, body)
+// request is the coordinator's own call to a node, ended by Close.
+func (c *Coordinator) request(method, url, contentType string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(c.ctx, method, url, body)
 	if err != nil {
 		return nil, err
 	}

@@ -57,22 +57,18 @@ func (c *Coordinator) noteForward(name string, d time.Duration) {
 	}
 }
 
-// noteTerminalLocked records a job's terminal status: servable result
-// and a completion-latency sample for the move trigger. Callers hold
-// mu.
-func (c *Coordinator) noteTerminalLocked(id string, st server.Status) {
-	e := c.entryLocked(id)
-	if e.result == nil && !e.created.IsZero() {
-		c.window.Observe(time.Since(e.created).Seconds())
-	}
-	e.result = &st
-}
-
-// noteTerminal is noteTerminalLocked for callers not holding mu.
+// noteTerminal records the terminal status the node holding job id
+// reported: the servable result and, for a job the coordinator placed
+// and never moved, a completion-latency sample for the move delay. A
+// moved job's latency carries the move's own cost, so it is no sample.
 func (c *Coordinator) noteTerminal(id string, st server.Status) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.noteTerminalLocked(id, st)
+	e := c.entryLocked(id)
+	if e.result == nil && !e.created.IsZero() && !e.moved {
+		c.window.Observe(time.Since(e.created).Seconds())
+	}
+	e.result = &st
 }
 
 // updateSlow re-evaluates every alive node's fail-slow posture against
@@ -192,20 +188,9 @@ func (c *Coordinator) moveDelay() time.Duration {
 	return d
 }
 
-// move is one straggler move in progress: the node its steal asks, that
-// node's journal dir when the move began, and whether a goroutine is
-// asking now. A move whose ask went unanswered stays, idle, and the next
-// sweep asks again.
-type move struct {
-	donor, journal string
-	busy           bool
-}
-
-// moveSweep starts a move of each job that has outrun the move delay,
-// at most maxMovesPerSweep a sweep, and asks again for each move whose
-// last ask went unanswered. Each ask runs in its own goroutine: the
-// steal of a running job waits for the attempt's next abort check, and
-// that wait must not hold up fencing, deliveries or the steal broker.
+// moveSweep moves each job that has outrun the move delay, at most
+// maxMovesPerSweep a sweep: the job goes into transit, asked for by ID
+// from the node that holds it.
 func (c *Coordinator) moveSweep() {
 	if c.cfg.MoveAfter <= 0 {
 		return
@@ -216,115 +201,30 @@ func (c *Coordinator) moveSweep() {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, m := range c.moves {
-		if !m.busy {
-			c.startMove(id, m, true)
-		}
-	}
 	started := 0
 	for id, e := range c.jobs {
 		if started == maxMovesPerSweep {
 			break
 		}
-		// Only a job the coordinator placed, still live, never moved.
-		if e.created.IsZero() || now.Sub(e.created) < delay || e.result != nil || e.moved {
+		// Only a job the coordinator placed, still live, never moved, and
+		// not in transit.
+		if e.created.IsZero() || now.Sub(e.created) < delay || e.result != nil || e.moved || c.transits[id] != nil {
 			continue
 		}
 		if !e.deadline.IsZero() && now.After(e.deadline) {
 			continue // past its deadline; a move helps nobody
 		}
-		if n, ok := c.nodes[e.node]; !ok || !n.alive() {
+		n, ok := c.nodes[e.node]
+		if !ok || !n.alive() {
 			continue // fencing/failover owns this job's fate
 		}
 		if !slices.ContainsFunc(cands, func(n *node) bool { return n.Name != e.node && !n.Slow }) {
 			continue // no healthy peer to take it yet; a later sweep may find one
 		}
 		e.moved = true
-		m := &move{donor: e.node, journal: c.nodes[e.node].Journal}
-		c.moves[id] = m
-		c.startMove(id, m, false)
+		c.startLocked(id, &transit{from: n, move: true})
 		started++
 	}
-}
-
-// startMove runs one ask of move m in its own goroutine. Callers hold
-// mu.
-func (c *Coordinator) startMove(id string, m *move, again bool) {
-	m.busy = true
-	c.stopWg.Add(1)
-	go c.move(id, m, again)
-}
-
-// move takes job id back from its donor (takeBack) and delivers the
-// record to the first of moveTargets that adopts it. An ask that fails
-// leaves the move for the next sweep; once an ask is answered the move
-// is over, and the job is never moved again.
-func (c *Coordinator) move(id string, m *move, again bool) {
-	defer c.stopWg.Done()
-	donor := m.donor
-	rec, err := c.takeBack(id, m, again)
-	c.mu.Lock()
-	if err != nil {
-		m.busy = false
-	} else {
-		delete(c.moves, id)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		c.log.Log("fleet_move_error", "job", id, "node", donor, "err", err.Error())
-		return
-	}
-	if rec == nil {
-		return // settled first, or re-homed another way
-	}
-	if to := c.deliver(rec, donor, c.moveTargets(donor)); to != donor && to != "" {
-		c.mu.Lock()
-		c.lastMove = to
-		c.mu.Unlock()
-		c.obs.moves.Inc()
-		c.log.Log("fleet_move", "job", id, "from", donor, "to", to)
-	}
-}
-
-// takeBack asks m's donor to give up job id and returns its record, or
-// nil when there is nothing to move: the job finished, or it left the
-// donor some other way. The first ask is a steal by ID. An ask again
-// follows one whose answer was lost — a timeout, a dropped response —
-// and that steal may have landed: the job is handed_off on the donor
-// and its record is in nobody's hands. The donor journaled it before
-// the lost answer was written (§12.3), so once the donor says
-// handed_off the record is read from its journal. A fenced donor's
-// journal is read straight away, and so is the journal of a donor whose
-// name a new incarnation, on another journal dir, has taken. While the
-// journal still holds a live record the steal never landed, its record
-// waits for a degraded disk to heal, or fence is about to re-home it,
-// and the move asks again.
-func (c *Coordinator) takeBack(id string, m *move, again bool) (*server.Job, error) {
-	c.mu.Lock()
-	e, n := c.jobs[id], c.nodes[m.donor]
-	left := e.node != m.donor || e.result != nil ||
-		slices.ContainsFunc(c.pending, func(rec *server.Job) bool { return rec.ID == id })
-	addr, journal, alive := n.Addr, m.journal, n.alive() && n.Journal == m.journal
-	c.mu.Unlock()
-	if left || !alive && !again {
-		return nil, nil
-	}
-	if alive {
-		rec, st, err := c.stealFrom(addr, id)
-		if err != nil || rec != nil || !again || st != server.StateHandedOff {
-			return rec, err
-		}
-	}
-	rec, err := server.LoadRecord(journal, id)
-	switch {
-	case err != nil:
-		return nil, err
-	case rec.State == server.StateHandedOff:
-		return rec, nil
-	case rec.State.Terminal():
-		return nil, nil
-	}
-	return nil, fmt.Errorf("fleet: %s is %s in %s's journal", id, rec.State, m.donor)
 }
 
 // moveTargets lists where a job moved off donor may go: the non-slow
@@ -334,17 +234,17 @@ func (c *Coordinator) takeBack(id string, m *move, again bool) (*server.Job, err
 // the idle slow node: with every move on one peer, only two nodes would
 // report a latency signal, fewer than minSlowPeers, and the slow node
 // would not latch (DESIGN §14). No other traffic has measured it.
-func (c *Coordinator) moveTargets(donor string) []string {
+func (c *Coordinator) moveTargets(donor string) []*node {
 	cands := c.candidates()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var peers []string
+	var peers []*node
 	for _, n := range cands {
 		if n.Name != donor && !n.Slow {
-			peers = append(peers, n.Name)
+			peers = append(peers, n)
 		}
 	}
-	if len(peers) > 1 && peers[0] == c.lastMove {
+	if len(peers) > 1 && peers[0].Name == c.lastMove {
 		peers = append(peers[1:], peers[0])
 	}
 	return peers

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"slices"
@@ -150,11 +151,11 @@ func TestMoveAfterLostAnswer(t *testing.T) {
 			waitFor(t, 10*time.Second, func() bool {
 				c.mu.Lock()
 				defer c.mu.Unlock()
+				tr, ok := c.transits[st.ID]
 				if tc.lose == "alpha" {
-					m, ok := c.moves[st.ID]
-					return ok && !m.busy
+					return ok && !tr.busy && tr.rec == nil
 				}
-				return len(c.doubt) == 1
+				return ok && tr.doubt != nil && tr.doubt.Name == "bravo"
 			}, "no answer was lost")
 			got, _ := nodes[tc.lose].srv.Status(st.ID)
 			if held := got.State != server.StateHandedOff; got.ID != st.ID || held != (tc.lose == "bravo") {
@@ -185,6 +186,80 @@ func TestMoveAfterLostAnswer(t *testing.T) {
 			}
 			if doneIn != 1 {
 				t.Errorf("the job is done in %d journals, want 1", doneIn)
+			}
+		})
+	}
+}
+
+// TestMoveDelayCountsCompletionsOnly: the move delay's p95 covers the
+// completions of jobs the coordinator placed and never moved. A moved
+// job's latency carries the move's own cost, and a done record read from
+// a fenced node's journal dates from the fence, not from the job's end,
+// so neither is a sample: after eight completions near 50 ms, the delay
+// stays at their p95.
+func TestMoveDelayCountsCompletionsOnly(t *testing.T) {
+	done := server.Status{State: server.StateDone}
+	place := func(c *Coordinator, id string, age time.Duration, moved bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.jobs[id] = &jobEntry{node: "a", created: time.Now().Add(-age), moved: moved}
+	}
+	for _, tc := range []struct {
+		name string
+		more func(t *testing.T, c *Coordinator)
+	}{
+		{"moved completions near 500 ms", func(t *testing.T, c *Coordinator) {
+			for i := range 4 {
+				id := fmt.Sprintf("job-a-moved-%d", i)
+				place(c, id, 500*time.Millisecond, true)
+				c.noteTerminal(id, done)
+			}
+		}},
+		{"a done record read at a fence, placed 60 s before", func(t *testing.T, c *Coordinator) {
+			dir := t.TempDir()
+			s, err := server.New(server.Config{JournalDir: dir, NodeName: "a", Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.Submit(buildSpec(t, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, func() bool {
+				got, _ := s.Status(st.ID)
+				return got.State == server.StateDone
+			}, "the job never finished")
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			place(c, st.ID, time.Minute, false)
+			n := &node{Name: "a", Journal: dir, Fenced: true}
+			c.mu.Lock()
+			c.nodes["a"] = n
+			c.mu.Unlock()
+			c.fence(n)
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if e := c.jobs[st.ID]; e.result == nil || e.result.State != server.StateDone {
+				t.Errorf("fence served %+v for the done record, want its done status", e.result)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{HeartbeatEvery: time.Hour, MoveAfter: time.Millisecond})
+			defer c.Close()
+			for i := range 8 {
+				id := fmt.Sprintf("job-a-%06d", i)
+				place(c, id, time.Duration(45+i)*time.Millisecond, false)
+				c.noteTerminal(id, done)
+			}
+			want := c.moveDelay()
+			if want < 45*time.Millisecond || want > 100*time.Millisecond {
+				t.Fatalf("the p95 of eight completions near 50 ms reads %v", want)
+			}
+			tc.more(t, c)
+			if got := c.moveDelay(); got != want {
+				t.Errorf("move delay = %v, want the unmoved completions' p95 %v", got, want)
 			}
 		})
 	}

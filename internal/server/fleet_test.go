@@ -62,9 +62,12 @@ func TestStealAndAdoptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Newest queued job goes first (LIFO), and the handoff is durable
+	// Load names the newest queued job (LIFO), and the handoff is durable
 	// before the record leaves the building.
-	rec, err := a.Steal()
+	if l := a.Load(); l.Steal != st3.ID {
+		t.Fatalf("Load names %q for a steal, want %s", l.Steal, st3.ID)
+	}
+	rec, _, err := a.StealJob(st3.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,18 +150,27 @@ func TestStealAndAdoptResume(t *testing.T) {
 	drainServer(t, b)
 }
 
-// TestStealNothingQueued: a server with only running (or no) jobs has
-// nothing to give.
+// TestStealNothingQueued: a server with no jobs, or only a running one,
+// has nothing waiting, so its Load names no job to steal.
 func TestStealNothingQueued(t *testing.T) {
 	cfg := testConfig(t)
+	blk := blockFirstJob(&cfg)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := s.Steal(); err != nil || rec != nil {
-		t.Fatalf("steal from empty server = (%v, %v), want (nil, nil)", rec, err)
+	defer drainServer(t, s)
+	defer blk.Release()
+	if l := s.Load(); l.Steal != "" {
+		t.Fatalf("an empty server names %q for a steal", l.Steal)
 	}
-	drainServer(t, s)
+	if _, err := s.Submit(testSpec(t, 5, nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, blk.Fired, "blocker never fired")
+	if l := s.Load(); l.Steal != "" || l.Running != 1 {
+		t.Fatalf("a server running its one job reports %+v, want it running and naming no job", l)
+	}
 }
 
 // TestStealJobStopsRunningAttempt: a steal by ID of a running job

@@ -29,13 +29,13 @@ import (
 //	                fleet scheduler can tell "will free up, steal from
 //	                it" (saturated) apart from "only ever shrinks"
 //	                (draining, fenced)
-//	GET  /load      the Load occupancy report (fleet heartbeats relay it)
-//	POST /fleet/steal    relinquish one queued job: 200 + its journal
-//	                     record, 204 when nothing is stealable
+//	GET  /load      the Load occupancy report (fleet heartbeats relay it,
+//	                and the steal broker reads the job it names)
 //	POST /fleet/steal/{id}  relinquish the named job wherever it is in
 //	                     its run (a running attempt stops first): 200 +
 //	                     its journal record, 409 + its state when it
-//	                     settled first, 404 if unknown
+//	                     settled first, 404 if unknown, 503 while the
+//	                     node is draining or fenced
 //	POST /fleet/handoff  adopt a journal record from a peer: 202 +
 //	                     Status, 409 when this node holds the job, or
 //	                     the submit codes' shedding
@@ -59,7 +59,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /load", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.Load())
 	})
-	mux.HandleFunc("POST /fleet/steal", s.handleSteal)
 	mux.HandleFunc("POST /fleet/steal/{id}", s.handleSteal)
 	mux.HandleFunc("POST /fleet/handoff", s.handleHandoff)
 	if s.cfg.Metrics != nil {
@@ -93,13 +92,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, map[string]string{"status": h})
 }
 
-// handleSteal gives up one job for a peer — the newest waiting one, or
-// the job the path names, wherever it is in its run — and writes its
-// full journal record (checkpoint included) as the response body, in
-// the grrdjob format. The job is already flipped to handed_off and
-// journaled before a byte is written, so a half-delivered response can
-// at worst strand the job as handed_off here — never run it in two
-// places.
+// handleSteal gives up the job the path names, wherever it is in its
+// run, and writes its full journal record (checkpoint included) as the
+// response body, in the grrdjob format. The job is already flipped to
+// handed_off and journaled before a byte is written, so a half-delivered
+// response strands the job as handed_off here, where the coordinator
+// that named it reads it from the journal — it never runs in two places.
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if s.fenced.Load() || s.draining.Load() {
 		// A leaving node's queue is the coordinator's to recover wholesale,
@@ -107,14 +105,7 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, httpError{Error: "node is " + s.Health()})
 		return
 	}
-	var rec *Job
-	var st State
-	var err error
-	if id := r.PathValue("id"); id != "" {
-		rec, st, err = s.StealJob(id)
-	} else {
-		rec, err = s.Steal()
-	}
+	rec, st, err := s.StealJob(r.PathValue("id"))
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		s.writeJSON(w, http.StatusNotFound, httpError{Error: err.Error()})
@@ -122,12 +113,9 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.writeJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
 		return
-	case rec == nil && st != "":
-		// The named job settled, or was handed off, before the steal landed.
-		s.writeJSON(w, http.StatusConflict, map[string]string{"state": string(st)})
-		return
 	case rec == nil:
-		w.WriteHeader(http.StatusNoContent)
+		// The job settled, or was handed off, before the steal landed.
+		s.writeJSON(w, http.StatusConflict, map[string]string{"state": string(st)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-grrdjob")

@@ -244,9 +244,9 @@ func (s *Server) transition(j *Job, ev event, set func(*Job), kv ...any) (Job, e
 	}
 	switch parked := atParked.holds(j); {
 	case parked && !wasParked:
-		s.parkedN++
+		s.parked = append(s.parked, j)
 	case wasParked && !parked:
-		s.parkedN--
+		s.parked = slices.DeleteFunc(s.parked, func(p *Job) bool { return p == j })
 	}
 	if e.from == nil {
 		s.jobs[j.ID] = j

@@ -212,22 +212,19 @@ func TestStealDuringUnparkWrite(t *testing.T) {
 	p.waitPaused(t)
 	var stolen *Job
 	done := racing(func() {
-		rec, err := s.Steal()
+		// If the worker starts the unparked job first, the steal stops its
+		// attempt and takes the job as the attempt unwinds.
+		rec, _, err := s.StealJob(st.ID)
 		if err != nil {
 			t.Errorf("steal: %v", err)
 		}
 		stolen = rec
 	})
 	p.unpause(t)
-	waitDone(t, done, "Steal")
+	waitDone(t, done, "StealJob")
 
-	if stolen != nil {
-		if got, _ := s.Status(st.ID); got.State != StateHandedOff {
-			t.Errorf("stolen job is %s, want handed_off", got.State)
-		}
-	} else {
-		// The worker started the unparked job before the steal got to it.
-		waitTerminal(t, s, st.ID)
+	if got, _ := s.Status(st.ID); stolen == nil || got.State != StateHandedOff {
+		t.Errorf("StealJob = %+v and the job is %s; want it stolen, handed_off", stolen, got.State)
 	}
 	checkRecordAgrees(t, cfg.JournalDir, s, st.ID)
 	checkRestartKeepsHandoff(t, cfg, s, st.ID)
@@ -700,15 +697,13 @@ func (sc *schedule) step() string {
 		}
 		return "edit"
 	case op < 36:
-		// Two fresh jobs give a single worker something queued to lose.
+		// Two fresh jobs give a single worker something queued to lose. The
+		// job Load names may start before the steal lands; then the steal
+		// stops it.
 		sc.submit(sc.randomSpec())
 		sc.submit(sc.randomSpec())
-		rec, err := s.Steal()
-		if err != nil {
-			sc.fatalf("steal: %v", err)
-		}
-		if rec != nil {
-			sc.stolen = append(sc.stolen, rec)
+		if id := s.Load().Steal; id != "" {
+			sc.stealByID(id)
 		}
 		return "steal"
 	case op < 44:
@@ -861,7 +856,7 @@ func (sc *schedule) check(after string) {
 	if err := sc.oracle.replay(sc.log.Bytes()); err != nil {
 		sc.fatalf("after %s: %v", after, err)
 	}
-	live, waiting := 0, 0
+	live, waiting, newest := 0, 0, ""
 	for _, js := range sc.s.Jobs() {
 		if want := sc.oracle.state(js.ID); js.State != want {
 			sc.fatalf("after %s: job %s published %s, its log replays to %s (history %v)",
@@ -872,6 +867,7 @@ func (sc *schedule) check(after string) {
 		}
 		if p := sc.oracle.place[js.ID]; p == "queued" || p == "parked" {
 			waiting++
+			newest = max(newest, js.ID)
 		}
 		if sc.s.DiskDegraded() {
 			continue // records of parked and handed-off jobs catch up on heal
@@ -881,8 +877,9 @@ func (sc *schedule) check(after string) {
 				after, js.ID, st, js.State, sc.oracle.history[js.ID])
 		}
 	}
-	if l := sc.s.Load(); l.Live != live || l.Queued != waiting {
-		sc.fatalf("after %s: Load reports %d live, %d queued; the jobs say %d, %d", after, l.Live, l.Queued, live, waiting)
+	if l := sc.s.Load(); l.Live != live || l.Queued != waiting || l.Steal != newest {
+		sc.fatalf("after %s: Load reports %d live, %d queued, steal %q; the jobs say %d, %d, %q",
+			after, l.Live, l.Queued, l.Steal, live, waiting, newest)
 	}
 }
 

@@ -212,13 +212,12 @@ type Server struct {
 	idle *sync.Cond
 	work *sync.Cond
 
-	// queue is the run queue, in arrival order; parkedN counts the
+	// queue is the run queue, in arrival order; parked holds the
 	// disk-parked jobs, which Load reports as queued — waiting work a
 	// peer could steal. live counts the admission slots held, of
 	// capacity: every live job holds one (DESIGN §9.1). All guarded by
 	// mu, all kept by transition.
-	queue          []*Job
-	parkedN        int
+	queue, parked  []*Job
 	live, capacity int
 
 	draining    atomic.Bool
@@ -549,6 +548,10 @@ type Load struct {
 	// dragging the tail. Omitted until there is at least one sample.
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	DiskWriteMs float64 `json:"disk_write_ms,omitempty"`
+	// Steal names the job a steal would take: the greatest-ID waiting job,
+	// queued or parked — LIFO, the freshest work, classic work-stealing
+	// order. Empty when no job waits.
+	Steal string `json:"steal,omitempty"`
 }
 
 // Load snapshots the node's occupancy for heartbeats and scheduling.
@@ -557,10 +560,15 @@ func (s *Server) Load() Load {
 	l := Load{
 		Epoch:   s.epoch,
 		Live:    s.live,
-		Queued:  len(s.queue) + s.parkedN,
+		Queued:  len(s.queue) + len(s.parked),
 		Running: int(s.obs.running.Value()),
 		Slots:   s.capacity,
 		Workers: s.cfg.Workers,
+	}
+	for _, waiting := range [][]*Job{s.queue, s.parked} {
+		for _, j := range waiting {
+			l.Steal = max(l.Steal, j.ID)
+		}
 	}
 	s.mu.Unlock()
 	// Fenced and draining outrank disk_degraded: a node that is leaving
@@ -587,28 +595,6 @@ func (s *Server) Load() Load {
 		l.DiskWriteMs = s.diskLat.Value()
 	}
 	return l
-}
-
-// Steal relinquishes the newest waiting job — queued, or parked on a
-// disk this node cannot write — to the fleet along the steal edge, and
-// returns a detached copy of its record, checkpoint included, for
-// delivery to a peer. Returns nil when nothing is stealable.
-func (s *Server) Steal() (*Job, error) {
-	for {
-		waiting := s.jobsAt(atQueued, atParked)
-		if len(waiting) == 0 {
-			return nil, nil
-		}
-		victim := waiting[len(waiting)-1] // LIFO: steal the freshest work, classic work-stealing order
-		rec, err := s.transition(victim, evSteal, nil)
-		if errors.Is(err, errMoved) {
-			continue // the victim started or left before the latch; pick again
-		}
-		if err != nil {
-			return nil, fmt.Errorf("journaling steal of %s: %w", victim.ID, err)
-		}
-		return &rec, nil
-	}
 }
 
 // StealJob relinquishes the named job to the fleet along the steal
