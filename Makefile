@@ -69,10 +69,11 @@ bench-smoke:
 # coordinator in one process, scripted partitions, a heartbeat-muted
 # zombie and a full node kill, with every job required to finish
 # bit-identical to its oracle and committed done in exactly one journal
-# fleet-wide. The broker steals by name — the job a loaded node names
-# when asked — so the work-stealing tests ride along, among them steals
-# whose answer is lost and one whose thief is fenced before its answer
-# arrives. CI runs this as its own job; the
+# fleet-wide. The broker steals a node's waiting job, the one it names
+# when asked, whenever another ready node has an idle worker, so the
+# work-stealing tests ride along, among them steals whose answer is
+# lost and one whose taker is fenced before its answer arrives. CI runs
+# this as its own job; the
 # kill/handoff acceptance test rides along because it exercises the
 # same failover machinery through the real grrd binary.
 soak-fleet:
@@ -81,17 +82,21 @@ soak-fleet:
 
 # The fail-slow soak under the race detector: four workers, one of
 # them slow on CPU and disk (delayed, never failing), 160 deadline-
-# carrying jobs in two phases. In the second phase a straggler is
-# stolen from the slow node and resumed on a healthy peer; that
-# phase's p99 must land strictly below the unmoved baseline's in the
-# same run, with zero jobs lost or duplicated (done in exactly one
-# journal fleet-wide) and every result bit-identical to its oracle.
-# The deadline and move plumbing tests ride along because they gate
-# the same contract, and so do the request-hardening tests, with the
-# front-door test holding the coordinator to grrd's answer for each of
-# those requests.
+# carrying jobs in two phases. Placement ranks each node by jobs in
+# flight, then by its own latest attempt time, so the slow node takes
+# few jobs; in the second phase a straggler is stolen from it and
+# resumed on a peer, and that phase's p99 must land strictly below the
+# unmoved baseline's in the same run, with zero jobs lost or duplicated
+# (done in exactly one journal fleet-wide) and every result
+# bit-identical to its oracle. The ranking's own tests ride along: the
+# candidate-order contract, and healthy fleets of 3 and 4 nodes under
+# load, where no ready node may rank behind one with more jobs in
+# flight. So do the deadline and move plumbing tests, which gate the
+# same contract, and the request-hardening tests, with the front-door
+# test holding the coordinator to grrd's answer for each of those
+# requests.
 soak-slow:
-	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestMove|TestCandidateOrderDeterministic|TestFrontDoorMatchesGrrd'
+	$(GO) test -race -count=1 ./internal/fleet/ -run 'TestFleetSlowSoak|TestMove|TestCandidateOrderDeterministic|TestHealthyFleetPlacesByQueue|TestFrontDoorMatchesGrrd'
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestDeadline|TestMaxBody|TestJournalDeadline|TestStealJob|TestFencedNode'
 
 # The crash-consistency and disk-fault soak under the race detector:

@@ -14,8 +14,8 @@
 // routing jobs itself (internal/fleet): workers join it with -join and
 // -node-name, heartbeat their load (naming the job a steal would take),
 // and get fenced and failed over if they go quiet; an idle worker gets
-// the job a loaded one names, and with -move-after, a job that outruns
-// the fleet is stolen from its node and resumed on a healthy peer.
+// the waiting job a node names, and with -move-after, a job that
+// outruns the fleet is stolen from its node and resumed on a peer.
 // Clients submit to the coordinator exactly as they would to a single
 // grrd.
 //
@@ -121,7 +121,7 @@ func run() int {
 		nodeName  = flag.String("node-name", "", "worker mode: fleet-unique node name (required with -join)")
 		hbEvery   = flag.Duration("heartbeat-every", time.Second, "heartbeat cadence (worker: send; coordinator: expect and sweep)")
 		hbMiss    = flag.Int("heartbeat-miss", 3, "coordinator mode: missed beats before a node is fenced and failed over")
-		moveAfter = flag.Duration("move-after", 0, "coordinator mode: move a job to a healthy peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = moves off)")
+		moveAfter = flag.Duration("move-after", 0, "coordinator mode: move a job to a peer once it has outrun this delay or the fleet's p95, whichever is larger (0 = moves off)")
 
 		crashAt = flag.Uint64("crash-at", 0, "fault injection: kill the process (exit 137) at the Nth board mutation across all jobs")
 	)

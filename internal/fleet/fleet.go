@@ -2,7 +2,8 @@
 // routing service. A Coordinator fronts N worker nodes:
 //
 //   - jobs are admitted at the coordinator and placed on the node with
-//     the fewest jobs in flight, then forwarded with bounded retry and
+//     the fewest jobs in flight, ties going to the node whose latest
+//     attempt ran shortest, then forwarded with bounded retry and
 //     jittered exponential backoff (server.Backoff, the one grrd spaces
 //     its own job retries with);
 //   - workers heartbeat their occupancy (the server.Load report); a
@@ -12,12 +13,12 @@
 //     again — and its live jobs are recovered from the journal and
 //     resumed on peers, bit-identically, from their last durable
 //     checkpoint;
-//   - an idle node takes the waiting job the most-loaded peer names,
-//     through the coordinator (work stealing), keeping the fleet busy
-//     without the workers knowing about each other, and a straggler is
-//     stolen from its node and resumed on a healthy peer (DESIGN §14);
-//     every such job is in transit, one entry per job, until a node
-//     takes it (transit.go);
+//   - a waiting job that a node names is taken, through the
+//     coordinator, when another node has an idle worker (work
+//     stealing), keeping the fleet busy without the workers knowing
+//     about each other, and a straggler is stolen from its node and
+//     resumed on a peer (DESIGN §14); every such job is in transit, one
+//     entry per job, until a node takes it (transit.go);
 //   - a submission passes grrd's own request checks (server.DecodeSpec,
 //     server.ValidateDeadline) before it is placed, and a node's 400
 //     ends the walk, so a client gets the status a standalone grrd
@@ -37,12 +38,15 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,8 +84,8 @@ type Config struct {
 	// MoveAfter enables straggler moves (DESIGN §14): a job the
 	// coordinator placed that is still unfinished after max(MoveAfter,
 	// p95 of recent completions) is stolen from its node and resumed on
-	// a healthy peer from its last durable checkpoint. Zero or negative
-	// turns moves off.
+	// a peer from its last durable checkpoint. Zero or negative turns
+	// moves off.
 	MoveAfter time.Duration
 }
 
@@ -116,19 +120,11 @@ type node struct {
 	Epoch   uint64      `json:"epoch"`
 	Load    server.Load `json:"load"`
 	Fenced  bool        `json:"fenced"`
-	// Slow is the latched fail-slow posture (DESIGN §14): the node is
-	// alive and correct but dragging the fleet's tail, so placement
-	// demotes it below every healthy ready node — demoted, not fenced,
-	// because a slow answer is still an answer.
-	Slow bool `json:"slow,omitempty"`
 
 	lastBeat time.Time
 	// sent counts the jobs the coordinator has delivered to the node
 	// since its last heartbeat, which Load.Live does not show yet.
 	sent int
-	// fwd tracks coordinator-observed forward latency to this node
-	// (seconds) — the one fail-slow signal the node cannot misreport.
-	fwd *obs.EWMA
 }
 
 // alive reports whether the node is scheduling-eligible at all.
@@ -173,8 +169,6 @@ type Coordinator struct {
 	// transits holds the jobs on their way between nodes, one entry per
 	// job ID (transit.go, §12.3).
 	transits map[string]*transit
-	// lastMove is the node the latest move delivered a job to.
-	lastMove string
 	// window holds recent job completion latencies (seconds); its p95
 	// sets the move delay once enough samples exist.
 	window *obs.Window
@@ -233,7 +227,7 @@ func (c *Coordinator) Join(name, addr, journal string, epoch uint64, load server
 	}
 	c.nodes[name] = &node{
 		Name: name, Addr: addr, Journal: journal, Epoch: epoch,
-		Load: load, lastBeat: time.Now(), fwd: obs.NewEWMA(0.3),
+		Load: load, lastBeat: time.Now(),
 	}
 	c.obs.joined.Inc()
 	c.publishNodeGauges()
@@ -313,7 +307,6 @@ func (c *Coordinator) sweep() {
 	for _, n := range dead {
 		c.fence(n)
 	}
-	c.updateSlow()
 	c.mu.Lock()
 	for id, t := range c.transits {
 		if !t.busy {
@@ -365,50 +358,42 @@ func (c *Coordinator) fence(n *node) {
 	}
 }
 
-// stealOnce brokers at most one steal per sweep: the idlest ready node
-// takes the job the most-loaded peer names. One per sweep keeps
-// rebalancing gentle — a persistent imbalance drains over a few sweeps;
-// a transient one often resolves itself first. The heartbeats pick the
-// donor and the thief; the donor then names its job afresh (GET /load),
+// stealOnce brokers at most one steal per sweep: the donor is the first
+// node by name, alive and not draining, whose heartbeat names a waiting
+// job not in transit while another ready node has an idle worker — a
+// free admission slot is not enough, since a steal to a node whose
+// workers are all busy only re-queues the job. One per sweep keeps
+// rebalancing gentle. The donor then names its job afresh (GET /load),
 // since a heartbeat's name is up to a beat old, and a short job is done
-// by then.
+// by then; the job goes wherever a move's would (homes).
 func (c *Coordinator) stealOnce() {
-	diskDegraded := func(n *node) bool { return n.Load.Disk == "degraded" }
 	c.mu.Lock()
-	var donor, thief *node
-	for _, n := range c.nodes {
-		if !n.alive() {
-			continue
+	idleElsewhere := func(donor *node) bool {
+		for _, n := range c.nodes {
+			if n != donor && n.alive() && n.Load.Health == server.HealthReady && n.inFlight() < n.Load.Workers {
+				return true
+			}
 		}
-		// Donors: anything with a waiting job not in transit that is not
-		// leaving. Saturated nodes are prime donors (that is what the
-		// /readyz split is for); draining and fenced nodes are drain-only —
-		// their queue is the failover path's business, not the stealer's.
-		// A disk-degraded donor outranks every healthy one: its queue
-		// cannot run locally until the disk heals, so moving it is never
-		// premature.
-		if n.Load.Steal != "" && c.transits[n.Load.Steal] == nil && n.Load.Health != server.HealthDraining &&
-			(donor == nil ||
-				(diskDegraded(n) && !diskDegraded(donor)) ||
-				(diskDegraded(n) == diskDegraded(donor) && n.Load.Queued > donor.Load.Queued)) {
-			donor = n
-		}
-		// Thieves: ready nodes with free capacity, idlest first.
-		if n.Load.Health == server.HealthReady && n.Load.Live < n.Load.Slots &&
-			(thief == nil || n.Load.Live < thief.Load.Live) {
-			thief = n
-		}
+		return false
 	}
-	if donor == nil || thief == nil || donor == thief ||
-		!diskDegraded(donor) && thief.Load.Live >= donor.Load.Queued+donor.Load.Live-1 {
-		// No pair, or no imbalance worth moving a checkpoint over the
-		// network for. (Unless the donor's disk is down — then its queued
-		// jobs run nowhere at all, and any thief with a free slot beats
-		// that.)
-		c.mu.Unlock()
-		return
+	names := make([]string, 0, len(c.nodes))
+	for name := range c.nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var donor *node
+	for _, name := range names {
+		n := c.nodes[name]
+		if n.alive() && n.Load.Health != server.HealthDraining && n.Load.Steal != "" &&
+			c.transits[n.Load.Steal] == nil && idleElsewhere(n) {
+			donor = n
+			break
+		}
 	}
 	c.mu.Unlock()
+	if donor == nil {
+		return
+	}
 
 	var l server.Load
 	resp, err := c.request(http.MethodGet, donor.Addr+"/load", "", nil)
@@ -422,7 +407,7 @@ func (c *Coordinator) stealOnce() {
 	case err != nil:
 		c.log.Log("fleet_steal_error", "node", donor.Name, "err", err.Error())
 	case l.Steal != "" && c.transits[l.Steal] == nil:
-		c.startLocked(l.Steal, &transit{from: donor, thief: thief.Name})
+		c.startLocked(l.Steal, &transit{from: donor, steal: true})
 	}
 }
 
@@ -456,48 +441,41 @@ func (c *Coordinator) entryLocked(id string) *jobEntry {
 	return e
 }
 
-// candidates returns the scheduling-eligible nodes, best first, in
-// three tiers: healthy ready nodes, then slow ready nodes, then
-// saturated nodes (they shed load themselves, but they are alive and
-// their refusal carries a Retry-After worth propagating). A slow node
-// is demoted, not excluded: slow capacity beats no capacity. Draining,
-// fenced and disk-degraded nodes never appear — the last would only
-// answer 507, so admissions route around it until its self-probe
-// reports the disk healed and its heartbeat turns ready again.
-// Within a tier, fewer jobs in flight come first (join the shortest
-// queue), and the node name breaks ties: two coordinators looking at
-// the same fleet walk candidates identically.
+// candidates returns the scheduling-eligible nodes, best first, in two
+// tiers: ready nodes, then saturated nodes (they shed load themselves,
+// but they are alive and their refusal carries a Retry-After worth
+// propagating). Draining, fenced and disk-degraded nodes never appear —
+// the last would only answer 507, so admissions route around it until
+// its self-probe reports the disk healed and its heartbeat turns ready
+// again. Within a tier, fewer jobs in flight come first (join the
+// shortest queue), then the shorter latest attempt time the node's
+// own heartbeat reports — a node with no attempt yet first, so every
+// node gets tried — then the node name. Each node is ranked by its own
+// numbers, never against a fleet baseline, and two coordinators looking
+// at the same fleet walk candidates identically.
 func (c *Coordinator) candidates() []*node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ready, slow, saturated []*node
+	var ready, saturated []*node
 	for _, n := range c.nodes {
 		if !n.alive() {
 			continue
 		}
 		switch n.Load.Health {
 		case server.HealthReady:
-			if n.Slow {
-				slow = append(slow, n)
-			} else {
-				ready = append(ready, n)
-			}
+			ready = append(ready, n)
 		case server.HealthSaturated:
 			saturated = append(saturated, n)
 		}
 	}
-	byLoad := func(list []*node) {
-		sort.Slice(list, func(a, b int) bool {
-			if fa, fb := list[a].inFlight(), list[b].inFlight(); fa != fb {
-				return fa < fb
-			}
-			return list[a].Name < list[b].Name
-		})
+	rank := func(a, b *node) int {
+		return cmp.Or(cmp.Compare(a.inFlight(), b.inFlight()),
+			cmp.Compare(a.Load.AttemptMs, b.Load.AttemptMs),
+			strings.Compare(a.Name, b.Name))
 	}
-	byLoad(ready)
-	byLoad(slow)
-	byLoad(saturated)
-	return append(append(ready, slow...), saturated...)
+	slices.SortFunc(ready, rank)
+	slices.SortFunc(saturated, rank)
+	return append(ready, saturated...)
 }
 
 // sleep waits d or until the coordinator stops.

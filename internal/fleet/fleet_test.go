@@ -18,7 +18,6 @@ import (
 	"repro/internal/boardio"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/stringer"
 	"repro/internal/workload"
@@ -505,7 +504,7 @@ func TestStatusSkipsFencedOwner(t *testing.T) {
 	c := New(Config{HeartbeatEvery: time.Hour})
 	defer c.Close()
 	c.mu.Lock()
-	c.nodes["z"] = &node{Name: "z", Addr: zombie.URL, Fenced: true, lastBeat: time.Now(), fwd: obs.NewEWMA(0.3)}
+	c.nodes["z"] = &node{Name: "z", Addr: zombie.URL, Fenced: true, lastBeat: time.Now()}
 	c.jobs[id] = &jobEntry{node: "z"}
 	c.mu.Unlock()
 

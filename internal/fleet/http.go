@@ -217,16 +217,10 @@ const forwardAttempts = 3
 // forward delivers one submission to one node with bounded transport
 // retries: the accepted Status, or the refusal's status code (0 when
 // the node never answered), Retry-After hint (seconds; 0 when none was
-// offered) and error text. Every round-trip — success or failure —
-// trains the node's forward-latency EWMA, the fail-slow signal the node
-// cannot misreport.
+// offered) and error text.
 func (c *Coordinator) forward(n *node, body []byte) (p placement) {
 	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		c.obs.forwardSeconds.Observe(d.Seconds())
-		c.noteForward(n.Name, d)
-	}()
+	defer func() { c.obs.forwardSeconds.Observe(time.Since(t0).Seconds()) }()
 	for attempt := 1; attempt <= forwardAttempts; attempt++ {
 		resp, err := c.client.Post(n.Addr+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {

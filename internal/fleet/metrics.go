@@ -29,10 +29,8 @@ type fleetObs struct {
 	pendingGauge *obs.Gauge
 	nodesByState map[string]*obs.Gauge
 
-	// Tail-latency contract (DESIGN §14): slow-posture detection,
-	// straggler moves, and deadline-aware admission.
-	slowNodes       *obs.Gauge
-	slowTransitions *obs.Counter
+	// Tail-latency contract (DESIGN §14): straggler moves and
+	// deadline-aware admission.
 	moves           *obs.Counter
 	deadlineRejects *obs.Counter
 }
@@ -59,8 +57,6 @@ func newFleetObs(reg *obs.Registry) *fleetObs {
 		pendingGauge: reg.Gauge("grr_fleet_handoffs_pending"),
 		nodesByState: make(map[string]*obs.Gauge, len(nodeStates)),
 
-		slowNodes:       reg.Gauge("grr_fleet_slow_nodes"),
-		slowTransitions: reg.Counter("grr_fleet_slow_transitions_total"),
 		moves:           reg.Counter("grr_fleet_moves_total"),
 		deadlineRejects: reg.Counter("grr_deadline_rejects_total"),
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -37,7 +35,7 @@ func TestMoveStraggler(t *testing.T) {
 	want := oracleFP(t, spec)
 
 	// An idle fleet places on the first name, so the slow node gets the
-	// job; two nodes never latch slow, so only the move can rescue it.
+	// job, and only the move can rescue it.
 	slow := faultinject.NewSlowNode(30*time.Millisecond, 1)
 	journals := []string{t.TempDir(), t.TempDir()}
 	alpha := startNode(t, "alpha", ts.URL, server.Config{
@@ -260,91 +258,6 @@ func TestMoveDelayCountsCompletionsOnly(t *testing.T) {
 			tc.more(t, c)
 			if got := c.moveDelay(); got != want {
 				t.Errorf("move delay = %v, want the unmoved completions' p95 %v", got, want)
-			}
-		})
-	}
-}
-
-// TestUpdateSlow walks updateSlow through scripted heartbeats, one
-// sweep per step, and checks which nodes hold the slow latch after
-// each, and what the sweep logged. Queue waits and disk-write latencies
-// are in milliseconds.
-func TestUpdateSlow(t *testing.T) {
-	type reading struct{ qw, dw float64 }
-	type step struct {
-		loads  map[string]reading // alive nodes and their readings
-		fenced []string           // nodes fenced before the sweep
-		slow   []string           // latched after the sweep, in name order
-		log    []string           // fields the sweep's log must carry
-	}
-	flat := func(dw float64) map[string]reading {
-		return map[string]reading{"a": {dw: 2}, "b": {dw: 2}, "c": {dw: 2}, "d": {dw: dw}}
-	}
-	cases := []struct {
-		name  string
-		steps []step
-	}{
-		{"two nodes never latch", []step{
-			{loads: map[string]reading{"a": {qw: 10}, "b": {qw: 100}}},
-			{loads: map[string]reading{"a": {qw: 10, dw: 1}, "b": {qw: 1000, dw: 50}}},
-		}},
-		{"four nodes latch a disk outlier and clear below half the threshold", []step{
-			{loads: flat(30), slow: []string{"d"}, log: []string{
-				"node=d slow=true signal=disk ", "disk_ms=30.0 disk_median_ms=2.0 disk_threshold_ms=6.0"}},
-			{loads: flat(5), slow: []string{"d"}},                         // above 6/2: hysteresis holds
-			{loads: flat(2.5), log: []string{"node=d slow=false fwd_ms"}}, // below 6/2: cleared
-		}},
-		{"readings under the floor never latch", []step{
-			{loads: map[string]reading{"a": {dw: 0.1}, "b": {dw: 0.1}, "c": {dw: 0.1}, "d": {dw: 0.9}}},
-		}},
-		{"a signal two nodes report has no baseline", []step{
-			{loads: map[string]reading{"a": {qw: 10, dw: 2}, "b": {dw: 2}, "c": {dw: 2}, "d": {qw: 500, dw: 2}}},
-		}},
-		{"a latch clears once too few peers remain", []step{
-			{loads: flat(30), slow: []string{"d"}},
-			{loads: flat(30), fenced: []string{"b"}, slow: []string{"d"}},
-			{loads: flat(30), fenced: []string{"c"}},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var log bytes.Buffer
-			c := New(Config{HeartbeatEvery: time.Hour, Log: obs.NewLogger(&log)})
-			defer c.Close()
-			for i, st := range tc.steps {
-				c.mu.Lock()
-				for name, r := range st.loads {
-					n := c.nodes[name]
-					if n == nil {
-						n = &node{Name: name}
-						c.nodes[name] = n
-					}
-					n.Load = server.Load{Health: server.HealthReady, QueueWaitMs: r.qw, DiskWriteMs: r.dw}
-				}
-				for _, name := range st.fenced {
-					c.nodes[name].Fenced = true
-				}
-				c.mu.Unlock()
-
-				log.Reset()
-				c.updateSlow()
-				for _, want := range st.log {
-					if !strings.Contains(log.String(), want) {
-						t.Errorf("step %d: log lacks %q:\n%s", i, want, log.String())
-					}
-				}
-
-				c.mu.Lock()
-				var slow []string
-				for _, name := range []string{"a", "b", "c", "d"} {
-					if n := c.nodes[name]; n != nil && n.Slow {
-						slow = append(slow, name)
-					}
-				}
-				c.mu.Unlock()
-				if fmt.Sprint(slow) != fmt.Sprint(st.slow) {
-					t.Errorf("step %d: slow nodes %v, want %v", i, slow, st.slow)
-				}
 			}
 		})
 	}

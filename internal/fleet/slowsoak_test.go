@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +20,10 @@ import (
 // and every journal write drags — and a stream of deadline-carrying
 // jobs. The test runs the same workload twice in one process:
 //
-//   - baseline: moves off. Jobs placed on the slow node before the
-//     coordinator latches its slow posture run to completion at the
-//     slow node's pace; the tail is whatever the straggler makes it.
+//   - baseline: moves off. Jobs placed on the slow node — the first,
+//     before it has an attempt time to rank by, and any a stale
+//     heartbeat sends there — run to completion at the slow node's
+//     pace; the tail is whatever the straggler makes it.
 //   - moved: MoveAfter=40ms. The same stragglers are stolen from the
 //     slow node once they outrun the delay and resumed on a healthy
 //     peer from their last durable checkpoint.
@@ -33,7 +35,8 @@ import (
 //   - zero jobs lost, zero duplicated: every job reaches done with the
 //     oracle fingerprint, and is committed done in exactly ONE journal
 //     fleet-wide;
-//   - the coordinator actually latched the slow node's posture, and
+//   - placement ranks the slow node by its own attempt times, so it
+//     takes at most 8 of each phase's 80 jobs, and the coordinator
 //     actually moved jobs (the win is causal, not luck).
 func TestFleetSlowSoak(t *testing.T) {
 	if testing.Short() {
@@ -63,21 +66,26 @@ func TestFleetSlowSoak(t *testing.T) {
 	if moved.moves == 0 {
 		t.Error("moved phase moved no job — the tail comparison proves nothing")
 	}
-	if !moved.sawSlow {
-		t.Error("coordinator never latched the slow node's posture in the moved phase")
+	for _, ph := range []slowPhase{base, moved} {
+		if ph.slowJobs > numJobs/10 {
+			t.Errorf("%s phase placed %d of %d jobs on the slow node, want at most %d",
+				ph.name, ph.slowJobs, numJobs, numJobs/10)
+		}
 	}
 
 	bp99, mp99 := p99(base.lats), p99(moved.lats)
-	t.Logf("p99: baseline=%v moved=%v (moves: %d)", bp99, mp99, moved.moves)
+	t.Logf("p99: baseline=%v moved=%v (moves: %d; jobs on the slow node: %d and %d)",
+		bp99, mp99, moved.moves, base.slowJobs, moved.slowJobs)
 	if mp99 >= bp99 {
 		t.Errorf("moved p99 %v not below unmoved baseline p99 %v", mp99, bp99)
 	}
 }
 
 type slowPhase struct {
-	lats    []time.Duration
-	moves   int64
-	sawSlow bool
+	name     string
+	lats     []time.Duration
+	moves    int64
+	slowJobs int // jobs placed on the slow node
 }
 
 // runSlowPhase boots a fresh coordinator and four workers (one slow on
@@ -88,7 +96,7 @@ type slowPhase struct {
 func runSlowPhase(t *testing.T, name string, moveAfter time.Duration,
 	specs []server.JobSpec, wantFP []string, numJobs int) slowPhase {
 	t.Helper()
-	var out slowPhase
+	out := slowPhase{name: name}
 	ok := t.Run(name, func(t *testing.T) {
 		c := New(Config{
 			HeartbeatEvery: 25 * time.Millisecond,
@@ -106,8 +114,7 @@ func runSlowPhase(t *testing.T, name string, moveAfter time.Duration,
 		agentClient := &http.Client{Timeout: 10 * time.Second}
 		names := []string{"n1", "n2", "n3", "n4"}
 		// The slow node is the one an idle fleet places on first (equal
-		// load, so the first name): it is handed work before the
-		// coordinator can latch its posture.
+		// load and no attempt times yet, so the first name).
 		slowName := names[0]
 		journals := make(map[string]string, len(names))
 		for _, nn := range names {
@@ -153,12 +160,8 @@ func runSlowPhase(t *testing.T, name string, moveAfter time.Duration,
 			}
 			ids = append(ids, st.ID)
 			seed[st.ID] = i % len(specs)
-			if !out.sawSlow {
-				for _, n := range c.Nodes() {
-					if n.Name == slowName && n.Slow {
-						out.sawSlow = true
-					}
-				}
+			if strings.HasPrefix(st.ID, "job-"+slowName+"-") {
+				out.slowJobs++
 			}
 		}
 		out.moves = c.obs.moves.Value()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"slices"
 	"time"
 
 	"repro/internal/server"
@@ -12,11 +11,12 @@ import (
 
 // Jobs in transit (DESIGN §12.3). The coordinator carries a job from one
 // node to another in three ways: fence recovers a live record from a
-// fenced node's journal, the broker steals the job a loaded node names,
-// and a straggler is moved (§14). Each is one entry in
-// Coordinator.transits, keyed by job ID, which every sweep advances by
-// one step in its own goroutine. A job has at most one entry, and a job
-// in transit is neither stolen nor moved again until its entry ends.
+// fenced node's journal, the broker steals the waiting job a node names
+// for an idle worker elsewhere, and a straggler is moved (§14). Each is
+// one entry in Coordinator.transits, keyed by job ID, which every sweep
+// advances by one step in its own goroutine, and each offers its record
+// to the same homes. A job has at most one entry, and a job in transit
+// is neither stolen nor moved again until its entry ends.
 type transit struct {
 	// from is the node the job leaves. While rec is nil, a step asks it
 	// for the job.
@@ -27,11 +27,10 @@ type transit struct {
 	// job may be live there, so rec goes nowhere else until that node
 	// answers a re-offer or is gone.
 	doubt *node
-	// thief is the broker's thief and move marks a straggler move: the
-	// preferred homes, and what a delivery counts. A record recovered from
-	// a journal, or one whose offer's answer was lost, has neither.
-	thief string
-	move  bool
+	// steal marks a broker steal and move a straggler move: what a
+	// delivery counts. A record recovered from a journal, or one whose
+	// offer's answer was lost, has neither.
+	steal, move bool
 	// busy is set while a step runs; that step alone writes the entry.
 	busy bool
 }
@@ -96,7 +95,7 @@ func (c *Coordinator) step(id string, t *transit, addr string) {
 	case err == nil:
 	case s.rec == nil && s.move:
 		c.log.Log("fleet_move_error", "job", id, "node", s.from.Name, "err", err.Error())
-	case s.rec == nil && s.thief != "":
+	case s.rec == nil && s.steal:
 		c.log.Log("fleet_steal_error", "job", id, "node", s.from.Name, "err", err.Error())
 	default:
 		c.log.Log("fleet_handoff_wait", "job", id, "err", err.Error())
@@ -118,21 +117,21 @@ func (c *Coordinator) step(id string, t *transit, addr string) {
 			// the offer ran, its fence leaving the job in transit to this
 			// entry: the job may be live on to. Wherever it lands now, it
 			// lands as a handoff.
-			s.doubt, s.thief, s.move = to, "", false
+			s.doubt, s.steal, s.move = to, false, false
 		}
 		s.busy = false
 		*t = s
 	default:
 		delete(c.transits, id)
 		switch {
-		case to.Name == s.thief:
+		case to.Name == s.from.Name: // back on its donor, it counts nothing
+		case s.steal:
 			c.obs.steals.Inc()
 			c.log.Log("fleet_steal", "job", id, "from", s.from.Name, "to", to.Name)
-		case s.move && to.Name != s.from.Name:
-			c.lastMove = to.Name
+		case s.move:
 			c.obs.moves.Inc()
 			c.log.Log("fleet_move", "job", id, "from", s.from.Name, "to", to.Name)
-		case to.Name != s.from.Name: // back on its donor, it counts nothing
+		default:
 			c.obs.handoffs.Inc()
 			c.log.Log("fleet_handoff", "job", id, "to", to.Name, "attempt", s.rec.Attempt)
 		}
@@ -191,13 +190,8 @@ func (c *Coordinator) take(id string, s *transit, addr string) (end bool, err er
 
 // homes lists the live nodes s's record may be offered to, best first:
 // the node in doubt alone, while the job may be live there; else the
-// preferred homes (the broker's thief, a move's healthy peers), then the
-// donor while it lives, then every other candidate.
+// candidates other than the donor, then the donor while it lives.
 func (c *Coordinator) homes(s *transit) []*node {
-	var homes []*node
-	if s.move {
-		homes = c.moveTargets(s.from.Name)
-	}
 	cands := c.candidates()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -207,16 +201,15 @@ func (c *Coordinator) homes(s *transit) []*node {
 		}
 		return nil
 	}
-	if n := c.nodes[s.thief]; n != nil && n.alive() {
-		homes = append(homes, n)
-	}
-	if n := c.liveLocked(s.from); n != nil {
-		homes = append(homes, n)
-	}
+	donor := c.liveLocked(s.from)
+	var homes []*node
 	for _, n := range cands {
-		if !slices.ContainsFunc(homes, func(h *node) bool { return h.Name == n.Name }) {
+		if donor == nil || n.Name != donor.Name {
 			homes = append(homes, n)
 		}
+	}
+	if donor != nil {
+		homes = append(homes, donor)
 	}
 	return homes
 }

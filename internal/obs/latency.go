@@ -6,15 +6,16 @@ import (
 	"sync"
 )
 
-// Latency instruments for the fail-slow machinery (DESIGN §14). The
+// Latency instruments for the tail-latency contract (DESIGN §14). The
 // registry's Histogram is built for scraping — fixed buckets, no
-// quantile extraction — but slow-node detection and move-delay
-// derivation need two things a scrape series cannot give: a recent
-// average that forgets the past at a controlled rate (EWMA) and an
-// exact percentile over a bounded window of recent samples (Window).
-// Both are standalone values, not registry series: they feed decisions
-// (candidate demotion, move timers, admission estimates), and the
-// decisions' outcomes are what the registry counts.
+// quantile extraction — but the coordinator's move delay and a node's
+// heartbeat need two things a scrape series cannot give: a recent
+// average that forgets the past at a controlled rate (EWMA: a node's
+// journal-write latency, and its routing cost per connection for
+// deadline admission) and an exact percentile over a bounded window of
+// recent samples (Window: the move delay's p95 of completions). Both
+// are standalone values, not registry series: they feed decisions, and
+// the decisions' outcomes are what the registry counts.
 
 // EWMA is a thread-safe exponentially weighted moving average. The
 // zero value is NOT ready; use NewEWMA. An EWMA with no samples yet
@@ -39,8 +40,7 @@ func NewEWMA(alpha float64) *EWMA {
 }
 
 // Observe folds one sample in. The first sample seeds the average
-// directly — warming up from zero would underreport early latencies,
-// which is exactly when a fail-slow detector must not be blind.
+// directly — warming up from zero would underreport early latencies.
 func (e *EWMA) Observe(v float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -74,7 +74,6 @@ type Window struct {
 	mu   sync.Mutex
 	buf  []float64
 	next int
-	full bool
 }
 
 // NewWindow builds a window holding the most recent max samples
@@ -94,7 +93,6 @@ func (w *Window) Observe(v float64) {
 		w.buf = append(w.buf, v)
 		return
 	}
-	w.full = true
 	w.buf[w.next] = v
 	w.next = (w.next + 1) % cap(w.buf)
 }

@@ -19,8 +19,9 @@ import (
 //   - admission stops: Submit/Adopt refuse with ErrDiskDegraded, which
 //     the HTTP layer maps to 507 Insufficient Storage + Retry-After;
 //   - /readyz reports 503 "disk_degraded" and the fleet heartbeat
-//     carries Load.Disk="degraded", so the coordinator routes new work
-//     and steals queued work away from the node;
+//     carries Health "disk_degraded", so the coordinator routes new
+//     work away from the node, and peers with an idle worker steal its
+//     waiting jobs;
 //   - in-flight jobs whose attempt died on a disk error park as
 //     interrupted (keeping their admission slot) rather than retrying
 //     into the same wall — their last durable checkpoint is intact;

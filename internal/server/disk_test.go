@@ -70,8 +70,8 @@ func TestDiskDegradedLifecycle(t *testing.T) {
 	if h := s.Health(); h != HealthDiskDegraded {
 		t.Fatalf("Health = %q, want %q", h, HealthDiskDegraded)
 	}
-	if d := s.Load().Disk; d != "degraded" {
-		t.Fatalf("Load.Disk = %q, want degraded", d)
+	if h := s.Load().Health; h != HealthDiskDegraded {
+		t.Fatalf("Load.Health = %q, want %q", h, HealthDiskDegraded)
 	}
 	if _, err := s.Submit(spec); !errors.Is(err, ErrDiskDegraded) {
 		t.Fatalf("Submit while degraded: err = %v, want ErrDiskDegraded", err)

@@ -137,9 +137,8 @@ type Job struct {
 	// cancelRun aborts the running attempt's context. Runtime-only.
 	cancelRun context.CancelFunc
 
-	// enqueuedAt is when the job last entered the run queue; the
-	// queue-wait signal the heartbeat Load reports is measured from it.
-	// Runtime-only.
+	// enqueuedAt is when the job last entered the run queue;
+	// grr_queue_wait_seconds is measured from it. Runtime-only.
 	enqueuedAt time.Time
 
 	// marks are the runtime flags the lifecycle table narrows states by

@@ -368,9 +368,9 @@ func (s *Server) saveJob(rec *Job) error {
 		s.noteDiskError(err)
 		return err
 	}
-	// Journal-write latency is the disk half of the node's fail-slow
-	// signal; only successful writes train it (failures latch the
-	// degraded posture instead — a different failure mode).
+	// Journal-write latency, as the heartbeat Load reports it; only
+	// successful writes train it (failures latch the degraded posture
+	// instead — a different failure mode).
 	s.diskLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
 	return nil
 }

@@ -62,7 +62,7 @@ type serverObs struct {
 	journalQuarantined *obs.Counter
 
 	// Tail-latency contract (DESIGN §14): deadline admission/expiry and
-	// queue-wait (the node's own fail-slow signal).
+	// queue wait.
 	deadlineRefused  *obs.Counter
 	deadlineExceeded *obs.Counter
 	queueWaitSeconds *obs.Histogram

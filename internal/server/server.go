@@ -195,14 +195,14 @@ type Server struct {
 	epoch  uint64
 	fenced atomic.Bool
 
-	// Fail-slow signals (DESIGN §14). queueWait and diskLat feed the
-	// heartbeat Load report (milliseconds) so the coordinator can spot
-	// a node whose jobs wait too long or whose journal writes drag;
-	// connCost learns attempt-seconds-per-connection for the deadline
-	// admission estimate.
-	queueWait *obs.EWMA
-	diskLat   *obs.EWMA
-	connCost  *obs.EWMA
+	// lastAttempt (the latest attempt's wall time) and diskLat feed the
+	// heartbeat Load report: the coordinator ranks nodes with equal jobs
+	// in flight by lastAttempt (DESIGN §12.1). connCost learns
+	// attempt-seconds-per-connection for the deadline admission
+	// estimate.
+	lastAttempt atomic.Int64
+	diskLat     *obs.EWMA
+	connCost    *obs.EWMA
 
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -288,7 +288,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:            make(map[string]*Job),
 		backoff:         NewBackoff(cfg.RetryBase, cfg.RetryMax, cfg.RetrySeed),
 		capacity:        depth,
-		queueWait:       obs.NewEWMA(0.3),
 		diskLat:         obs.NewEWMA(0.3),
 		connCost:        obs.NewEWMA(0.2),
 	}
@@ -535,18 +534,11 @@ type Load struct {
 	Running int    `json:"running"` // attempts executing right now
 	Slots   int    `json:"slots"`   // total admission capacity
 	Workers int    `json:"workers"` // routing worker pool size
-	// Disk is "" while the journal disk is healthy and "degraded" once
-	// the disk posture latches — a dedicated field (not just Health)
-	// because Health is a priority collapse: a draining node's disk
-	// state would otherwise be invisible to the coordinator.
-	Disk string `json:"disk,omitempty"`
-	// QueueWaitMs and DiskWriteMs are the node's fail-slow signals
-	// (DESIGN §14): EWMAs of how long jobs sit queued before a worker
-	// picks them up, and of journal-write latency. The coordinator
-	// compares them across the fleet to latch a slow posture — a node
-	// can be "ready" by every health check above and still be the one
-	// dragging the tail. Omitted until there is at least one sample.
-	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
+	// AttemptMs is the wall time of the node's latest attempt, a stopped
+	// one included; the coordinator ranks nodes with equal jobs in flight
+	// by it (DESIGN §12.1). DiskWriteMs is an EWMA of journal-write
+	// latency. Each is omitted until its first sample.
+	AttemptMs   float64 `json:"attempt_ms,omitempty"`
 	DiskWriteMs float64 `json:"disk_write_ms,omitempty"`
 	// Steal names the job a steal would take: the greatest-ID waiting job,
 	// queued or parked — LIFO, the freshest work, classic work-stealing
@@ -585,11 +577,8 @@ func (s *Server) Load() Load {
 	default:
 		l.Health = HealthReady
 	}
-	if s.diskDegraded.Load() {
-		l.Disk = "degraded"
-	}
-	if s.queueWait.Samples() > 0 {
-		l.QueueWaitMs = s.queueWait.Value()
+	if d := s.lastAttempt.Load(); d > 0 {
+		l.AttemptMs = float64(d) / float64(time.Millisecond)
 	}
 	if s.diskLat.Samples() > 0 {
 		l.DiskWriteMs = s.diskLat.Value()
@@ -739,9 +728,7 @@ func (s *Server) runJob(j *Job) {
 	if errors.Is(err, errMoved) {
 		return // stolen between dequeue and start
 	}
-	waited := time.Since(run.enqueuedAt)
-	s.queueWait.Observe(waited.Seconds() * 1000)
-	s.obs.queueWaitSeconds.Observe(waited.Seconds())
+	s.obs.queueWaitSeconds.Observe(time.Since(run.enqueuedAt).Seconds())
 	switch {
 	case !run.Deadline.IsZero() && time.Now().After(run.Deadline):
 		// The deadline expired while the job sat queued: fail fast
@@ -762,6 +749,7 @@ func (s *Server) runJob(j *Job) {
 	out := s.execute(j, run)
 	dur := time.Since(t0)
 	s.obs.attemptSeconds.Observe(dur.Seconds())
+	s.lastAttempt.Store(int64(dur))
 	if out.res != nil && out.res.Metrics.Connections > 0 {
 		// Train the deadline-admission estimate on completed attempts:
 		// seconds of routing per connection, smoothed.

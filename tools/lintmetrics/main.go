@@ -38,11 +38,10 @@ var wellFormedLabels = regexp.MustCompile(`^\{[a-z][a-z0-9_]*="[^"{}]*"(, ?[a-z]
 
 // requiredPrefixes are metric families a subsystem contract depends
 // on: the tail-latency contract (DESIGN §14) is only observable if at
-// least one slow-posture, one move and one deadline series exist in
-// code and in the §10 catalog. A refactor that renames a family away
-// entirely fails here even though name-by-name cross-checking would
-// stay green.
-var requiredPrefixes = []string{"grr_fleet_slow_", "grr_fleet_moves_", "grr_deadline_"}
+// least one move and one deadline series exist in code and in the §10
+// catalog. A refactor that renames a family away entirely fails here
+// even though name-by-name cross-checking would stay green.
+var requiredPrefixes = []string{"grr_fleet_moves_", "grr_deadline_"}
 
 func main() {
 	root := "."
